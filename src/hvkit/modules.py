@@ -19,8 +19,14 @@ over the family's coefficient algebra and a family-specific vector:
   past the truncation raises :class:`LevelOverflowError`.
 * ``TensorModule`` -- Leibniz action on pairs of factor basis vectors.
 
-Handles are immutable descriptors and ``act`` is pure, so concurrent use is
-safe.  Descriptors round-trip through :func:`describe` /
+A handle's parameters are immutable, but a handle is not stateless: it fills
+unbounded memo caches as it acts (``OmegaModule._term_cache``,
+``TruncatedVerma._cache`` and ``_level_cache``,
+``EvaluationModule._jet_cache``).  Entries are only ever added, each a
+deterministic function of its key, so results do not depend on call order;
+the memory is held until the handle is dropped.  Cached dicts and lists are
+handed to callers as they are and must not be mutated, and nothing locks the
+caches.  Descriptors round-trip through :func:`describe` /
 :func:`module_from_descriptor` as JSON-shaped dicts.
 """
 

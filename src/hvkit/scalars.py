@@ -3,7 +3,15 @@
 The ground field at desk scale is Q(i): numbers a + b*i with rational a, b.
 Every identity checked by this package is a polynomial identity over this
 field, so equality is exact and "equals zero" is decidable.  There is no
-floating-point mode.
+floating-point mode: inexact or ambiguous inputs (``float``, ``complex``,
+``bool``, ``str``) are refused with ``TypeError``.
+
+A :class:`Scalar` is the integer triple ``(a, b, d)`` standing for
+``(a + b*i)/d``, one common denominator for both parts.  The triple is kept
+canonical, ``d > 0`` and ``gcd(a, b, d) == 1``, so equality is triple
+equality and every operation normalises its result with a single
+``math.gcd`` (skipped when ``d == 1``).  The parts ``re`` and ``im`` read
+back as :class:`fractions.Fraction`.
 
 Scalars serialize as strings like ``"3"``, ``"-3/4"``, ``"1/2*i"`` or
 ``"3/4+1/2*i"``; :func:`parse_scalar` accepts the same grammar.
@@ -14,85 +22,128 @@ from __future__ import annotations
 import numbers
 import re as _re
 from fractions import Fraction
+from math import gcd
 
 from .errors import ParseError
 
-_RationalLike = (int, Fraction)
+
+def _rational_parts(value):
+    """(numerator, denominator) of an exact rational, or None for anything else."""
+    t = type(value)
+    if t is int:
+        return value, 1
+    if t is Fraction or (isinstance(value, numbers.Rational) and t is not bool):
+        return int(value.numerator), int(value.denominator)
+    return None
 
 
 class Scalar:
-    """An element a + b*i of Q(i), with exact Fraction components."""
+    """An element (a + b*i)/d of Q(i), stored as a canonical integer triple.
 
-    __slots__ = ("re", "im")
+    Immutable: the triple is written once, through the slot descriptors,
+    and ``re`` and ``im`` are read-only views of it.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
-        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
+        re_parts, im_parts = _rational_parts(re), _rational_parts(im)
+        if re_parts is None or im_parts is None:
+            bad = re if re_parts is None else im
+            raise TypeError(f"cannot make a Scalar from {bad!r}: not an exact rational")
+        (p, q), (r, s) = re_parts, im_parts
+        a, b, d = p * s, r * q, q * s
+        g = gcd(a, b, d)
+        _set_a(self, a // g)
+        _set_b(self, b // g)
+        _set_d(self, d // g)
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
 
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
     # -- predicates ---------------------------------------------------------
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self._a or self._b)
 
     @property
     def is_zero(self):
-        return not self.re and not self.im
+        return not (self._a or self._b)
 
     @property
     def is_real(self):
-        return not self.im
+        return not self._b
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Scalar(self.re + other.re, self.im + other.im)
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        d, e = self._d, other._d
+        if d == e:
+            return _make(self._a + other._a, self._b + other._b, d)
+        return _make(self._a * e + other._a * d, self._b * e + other._b * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Scalar(self.re - other.re, self.im - other.im)
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        d, e = self._d, other._d
+        if d == e:
+            return _make(self._a - other._a, self._b - other._b, d)
+        return _make(self._a * e - other._a * d, self._b * e - other._b * d, d * e)
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Scalar(other.re - self.re, other.im - self.im)
+        d, e = self._d, other._d
+        return _make(other._a * d - self._a * e, other._b * d - self._b * e, d * e)
 
     def __neg__(self):
-        return Scalar(-self.re, -self.im)
+        return _make(-self._a, -self._b, self._d)
 
     def __mul__(self, other):
-        if isinstance(other, Scalar):
-            if not self.im and not other.im:
-                return Scalar(self.re * other.re)
-            a, b, c, d = self.re, self.im, other.re, other.im
-            return Scalar(a * c - b * d, a * d + b * c)
-        if isinstance(other, _RationalLike):
-            return Scalar(self.re * other, self.im * other)
-        return NotImplemented
+        if type(other) is not Scalar:
+            if type(other) is int:
+                return _make(self._a * other, self._b * other, self._d)
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        b, e = self._b, other._b
+        if not (b or e):
+            return _make(self._a * other._a, 0, self._d * other._d)
+        a, c = self._a, other._a
+        return _make(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero Scalar")
-        if not other.im:
-            return Scalar(self.re / other.re, self.im / other.re)
-        n = other.re * other.re + other.im * other.im
-        a, b, c, d = self.re, self.im, other.re, other.im
-        return Scalar((a * c + b * d) / n, (b * c - a * d) / n)
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        c, e, f = other._a, other._b, other._d
+        a, b = self._a, self._b
+        if not e:
+            if not c:
+                raise ZeroDivisionError("division by zero Scalar")
+            return _make(a * f, b * f, self._d * c)
+        # (a + b*i)/d / ((c + e*i)/f) = (a + b*i)(c - e*i) f / (d (c^2 + e^2))
+        return _make((a * c + b * e) * f, (b * c - a * e) * f, self._d * (c * c + e * e))
 
     def __rtruediv__(self, other):
         other = _coerce(other)
@@ -116,20 +167,23 @@ class Scalar:
         return result
 
     def conjugate(self):
-        return Scalar(self.re, -self.im)
+        return _make(self._a, -self._b, self._d)
 
     # -- comparison / hashing -----------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, Scalar):
-            return self.re == other.re and self.im == other.im
+        if type(other) is Scalar:
+            return self._a == other._a and self._b == other._b and self._d == other._d
+        if type(other) is int:
+            return not self._b and self._d == 1 and self._a == other
         if isinstance(other, numbers.Rational):
-            return not self.im and self.re == other
+            return not self._b and self._a * other.denominator == other.numerator * self._d
         return NotImplemented
 
     def __hash__(self):
-        if not self.im:
-            return hash(self.re)
+        # the hash of the equal Fraction (or int), so Scalars and rationals mix as keys
+        if not self._b:
+            return hash(self._a) if self._d == 1 else hash(Fraction(self._a, self._d))
         return hash((self.re, self.im))
 
     def __repr__(self):
@@ -139,19 +193,44 @@ class Scalar:
         return (self.re, self.im)
 
 
+_new = object.__new__
+# slot writers that bypass Scalar.__setattr__, which refuses every assignment
+_set_a, _set_b, _set_d = Scalar._a.__set__, Scalar._b.__set__, Scalar._d.__set__
+
+
+def _make(a, b, d):
+    """The canonical Scalar (a + b*i)/d, for integers a, b and d != 0."""
+    if d != 1:
+        if d < 0:
+            a, b, d = -a, -b, -d
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    s = _new(Scalar)
+    _set_a(s, a)
+    _set_b(s, b)
+    _set_d(s, d)
+    return s
+
+
 def _coerce(value):
-    if isinstance(value, Scalar):
+    if type(value) is Scalar:
         return value
-    if isinstance(value, _RationalLike):
-        return Scalar(value)
-    return NotImplemented
+    parts = _rational_parts(value)
+    if parts is None:
+        return NotImplemented
+    return _make(parts[0], 0, parts[1])
 
 
 def scalar(value) -> Scalar:
-    """Coerce an int, Fraction or Scalar into a Scalar."""
+    """Coerce an int, Fraction (or other exact rational) or Scalar into a Scalar."""
+    if type(value) is Scalar:
+        return value
     out = _coerce(value)
     if out is NotImplemented:
-        raise TypeError(f"cannot coerce {value!r} to Scalar")
+        raise TypeError(f"cannot coerce {value!r} to Scalar: not an exact rational")
     return out
 
 
@@ -165,20 +244,21 @@ def _render_rational(q: Fraction) -> str:
 
 
 def render_scalar(s: Scalar) -> str:
-    if not s.im:
-        return _render_rational(s.re)
-    if s.im == 1:
+    re, im = s.re, s.im
+    if not im:
+        return _render_rational(re)
+    if im == 1:
         imag = "i"
-    elif s.im == -1:
+    elif im == -1:
         imag = "-i"
     else:
-        imag = f"{_render_rational(s.im)}*i"
-    if not s.re:
+        imag = f"{_render_rational(im)}*i"
+    if not re:
         return imag
-    sign = "+" if s.im > 0 else "-"
-    mag = abs(s.im)
+    sign = "+" if im > 0 else "-"
+    mag = abs(im)
     imag = "i" if mag == 1 else f"{_render_rational(mag)}*i"
-    return f"{_render_rational(s.re)}{sign}{imag}"
+    return f"{_render_rational(re)}{sign}{imag}"
 
 
 _CHUNK = _re.compile(r"[+-][^+-]+")
@@ -191,7 +271,7 @@ def parse_scalar(text: str) -> Scalar:
     """
     if isinstance(text, Scalar):
         return text
-    if isinstance(text, _RationalLike):
+    if _rational_parts(text) is not None:
         return Scalar(text)
     if not isinstance(text, str):
         raise ParseError(f"expected a scalar string, got {text!r}")
