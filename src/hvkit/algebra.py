@@ -428,13 +428,53 @@ class JacobiSweepReport:
         )
 
 
-def sweep_terms(index_bound: int, monomial_bound: int, k: int) -> list:
-    """All decorated generators (kind, index, exponents) within the bounds."""
+def _sweep_generators(index_bound: int) -> list:
     gens = [("d", n) for n in range(-index_bound, index_bound + 1)]
     gens += [("I", n) for n in range(-index_bound, index_bound + 1)]
     gens += [(kind, 0) for kind in _CENTRAL_KINDS]
+    return gens
+
+
+def sweep_terms(index_bound: int, monomial_bound: int, k: int) -> list:
+    """All decorated generators (kind, index, exponents) within the bounds."""
     monos = exponents_upto(k, monomial_bound)
-    return [(kind, n, m) for (kind, n) in gens for m in monos]
+    return [(kind, n, m) for (kind, n) in _sweep_generators(index_bound) for m in monos]
+
+
+def _interner(initial):
+    """A key list seeded with ``initial`` and a function giving each key's index."""
+    keys = list(initial)
+    ids = {key: i for i, key in enumerate(keys)}
+
+    def intern(key) -> int:
+        i = ids.get(key)
+        if i is None:
+            i = ids[key] = len(keys)
+            keys.append(key)
+        return i
+
+    return keys, intern
+
+
+def _merge(run) -> tuple:
+    """Collect (generator id, coefficient) pairs by generator, dropping zero sums."""
+    acc: dict = {}
+    for gid, c in run:
+        acc[gid] = acc.get(gid, 0) + c
+    return tuple((gid, c) for gid, c in acc.items() if c)
+
+
+def _accumulate(parts) -> dict:
+    """Sum runs of (generator id, coefficient), each run tagged with a monomial id.
+
+    Keys are (generator id, monomial id); zero sums are kept.
+    """
+    acc: dict = {}
+    for run, mid in parts:
+        for gid, c in run:
+            key = (gid, mid)
+            acc[key] = acc.get(key, 0) + c
+    return acc
 
 
 def jacobi_antisymmetry_sweep(
@@ -448,91 +488,117 @@ def jacobi_antisymmetry_sweep(
 
     Covers every ordered pair for antisymmetry and centrality, and every
     ordered triple for Jacobi, over indices |n| <= index_bound and monomial
-    exponents |r| <= monomial_bound in k variables.  Runs on raw terms for
-    speed; the structure function and the exponent-addition product are the
-    same ones the element-level bracket uses.
+    exponents |r| <= monomial_bound in k variables.
+
+    A decorated generator g (x) m factors into a generator and a monomial,
+    and [g (x) p, h (x) q] = [g, h] (x) pq, so the sweep reads every bracket
+    from two tables built once per call.  The generator table holds
+    ``structure`` on each ordered pair of generators the sweep reaches (one
+    call per pair), with generators interned as small integer ids; the
+    monomial table holds exponent addition on interned monomial ids.  Each
+    distinct generator-level pair bracket gets a pair id, and
+    ``nested[g][pair id]`` is the merged bracket of g with it.  The tables
+    grow with the number of generators squared, not with the number of
+    decorated terms.
+
+    Antisymmetry, centrality and Jacobi all read these tables, and one
+    accumulation path (keys: generator id, monomial id) sums both the pair
+    checks and the three nested brackets of a triple, each part tagged with
+    the monomial of its own pair.  Violation payloads are rebuilt as
+    ``{(kind, index, exponents): coefficient}``.
     """
     report = JacobiSweepReport(index_bound, monomial_bound, k)
-    terms = sweep_terms(index_bound, monomial_bound, k)
+    gens = _sweep_generators(index_bound)
+    monos = exponents_upto(k, monomial_bound)
+    terms = [(kind, n, m) for (kind, n) in gens for m in monos]
     nterms = len(terms)
+    sweep_gens = range(len(gens))
+    sweep_monos = range(len(monos))
+    # decorated term i as (generator id, monomial id)
+    ids = [(g, m) for g in sweep_gens for m in sweep_monos]
 
-    def term_bracket(k1, n1, m1, k2, n2, m2):
-        struct = structure(k1, n1, k2, n2)
-        if not struct:
-            return ()
-        mono = tuple(a + b for a, b in zip(m1, m2))
-        return tuple((kind, idx, mono, c) for kind, idx, c in struct)
+    gen_keys, intern_gen = _interner(gens)
+    gen_table: dict = {}
 
-    # pair table, antisymmetry, centrality
-    pair_table = [None] * (nterms * nterms)
-    for i, (k1, n1, m1) in enumerate(terms):
-        base = i * nterms
-        for j, (k2, n2, m2) in enumerate(terms):
-            pair_table[base + j] = term_bracket(k1, n1, m1, k2, n2, m2)
-    for i in range(nterms):
+    def gen_bracket(a: int, b: int) -> tuple:
+        run = gen_table.get((a, b))
+        if run is None:
+            run = gen_table[(a, b)] = tuple(
+                (intern_gen((kind, idx)), c)
+                for kind, idx, c in structure(*gen_keys[a], *gen_keys[b])
+            )
+        return run
+
+    raw = [[gen_bracket(a, b) for b in sweep_gens] for a in sweep_gens]
+    pair_runs, intern_pair = _interner([()])
+    pair_id = [[intern_pair(_merge(run)) for run in row] for row in raw]
+    nested = [
+        [_merge((h2, c * c2) for h, c in run for h2, c2 in gen_bracket(g, h)) for run in pair_runs]
+        for g in sweep_gens
+    ]
+
+    mono_keys, intern_mono = _interner(monos)
+
+    def mono_add(a: int, b: int) -> int:
+        return intern_mono(tuple(x + y for x, y in zip(mono_keys[a], mono_keys[b])))
+
+    # intern the pair sums first, so that each row covers every monomial a
+    # pair bracket can carry
+    for a in sweep_monos:
+        for b in sweep_monos:
+            mono_add(a, b)
+    pair_monos = range(len(mono_keys))
+    madd = [[mono_add(a, b) for b in pair_monos] for a in sweep_monos]
+
+    def payload(acc: dict, keep_zeros: bool) -> dict:
+        return {
+            (*gen_keys[gid], mono_keys[mid]): c
+            for (gid, mid), c in acc.items()
+            if c or keep_zeros
+        }
+
+    # antisymmetry and centrality
+    for i, (ga, ma) in enumerate(ids):
         for j in range(i, nterms):
+            gb, mb = ids[j]
             report.pairs_checked += 1
-            acc: dict = {}
-            for kind, idx, mono, c in pair_table[i * nterms + j]:
-                key = (kind, idx, mono)
-                acc[key] = acc.get(key, 0) + c
-            for kind, idx, mono, c in pair_table[j * nterms + i]:
-                key = (kind, idx, mono)
-                acc[key] = acc.get(key, 0) + c
+            acc = _accumulate(((raw[ga][gb], madd[ma][mb]), (raw[gb][ga], madd[mb][ma])))
             if any(acc.values()) and len(report.antisymmetry_violations) < max_violations:
-                report.antisymmetry_violations.append((terms[i], terms[j], dict(acc)))
-    for i, (k1, n1, m1) in enumerate(terms):
+                report.antisymmetry_violations.append((terms[i], terms[j], payload(acc, True)))
+    for i, (k1, n1, _m1) in enumerate(terms):
         if k1 in _CENTRAL_KINDS or (k1 == "I" and n1 == 0):
             # I_0 is central in the core algebra; over coefficients this is
             # the statement [I_0 (x) p, g (x) q] = 0, swept here too.
-            for j in range(nterms):
-                if pair_table[i * nterms + j] or pair_table[j * nterms + i]:
+            ga = ids[i][0]
+            for j, (gb, _mb) in enumerate(ids):
+                if raw[ga][gb] or raw[gb][ga]:
                     if len(report.centrality_violations) < max_violations:
                         report.centrality_violations.append((terms[i], terms[j]))
 
-    # Jacobi on all ordered triples
-    triples = 0
+    # Jacobi on all ordered triples: [x,[y,z]] + [y,[z,x]] + [z,[x,y]]
     violations = report.jacobi_violations
-    for i, (k1, n1, m1) in enumerate(terms):
-        row_i = i * nterms
-        for j in range(nterms):
-            k2, n2, m2 = terms[j]
-            row_j = j * nterms
-            b_ij = pair_table[row_i + j]
-            for l in range(nterms):
-                triples += 1
-                acc: dict = {}
-                # [x, [y, z]]
-                for kind, idx, mono, c in pair_table[row_j + l]:
-                    for kk, ii, mm, cc in term_bracket(k1, n1, m1, kind, idx, mono):
-                        key = (kk, ii, mm)
-                        v = acc.get(key, 0) + c * cc
-                        if v:
-                            acc[key] = v
-                        elif key in acc:
-                            del acc[key]
-                # [y, [z, x]]
-                k3, n3, m3 = terms[l]
-                for kind, idx, mono, c in pair_table[l * nterms + i]:
-                    for kk, ii, mm, cc in term_bracket(k2, n2, m2, kind, idx, mono):
-                        key = (kk, ii, mm)
-                        v = acc.get(key, 0) + c * cc
-                        if v:
-                            acc[key] = v
-                        elif key in acc:
-                            del acc[key]
-                # [z, [x, y]]
-                for kind, idx, mono, c in b_ij:
-                    for kk, ii, mm, cc in term_bracket(k3, n3, m3, kind, idx, mono):
-                        key = (kk, ii, mm)
-                        v = acc.get(key, 0) + c * cc
-                        if v:
-                            acc[key] = v
-                        elif key in acc:
-                            del acc[key]
-                if acc and len(violations) < max_violations:
-                    violations.append((terms[i], terms[j], terms[l], dict(acc)))
-    report.triples_checked = triples
+    for i, (gx, mx) in enumerate(ids):
+        nested_x, pair_x, madd_x = nested[gx], pair_id[gx], madd[mx]
+        for j, (gy, my) in enumerate(ids):
+            report.triples_checked += nterms
+            nested_y, pair_y, madd_y = nested[gy], pair_id[gy], madd[my]
+            xy_pair, xy_mono = pair_x[gy], madd_x[my]
+            for gz in sweep_gens:
+                x_part = nested_x[pair_y[gz]]
+                y_part = nested_y[pair_id[gz][gx]]
+                z_part = nested[gz][xy_pair]
+                if not (x_part or y_part or z_part):
+                    continue
+                for mz in sweep_monos:
+                    madd_z = madd[mz]
+                    acc = _accumulate((
+                        (x_part, madd_x[madd_y[mz]]),
+                        (y_part, madd_y[madd_z[mx]]),
+                        (z_part, madd_z[xy_mono]),
+                    ))
+                    if any(acc.values()) and len(violations) < max_violations:
+                        l = gz * len(monos) + mz
+                        violations.append((terms[i], terms[j], terms[l], payload(acc, False)))
     return report
 
 

@@ -622,6 +622,8 @@ def omega_invariants(module: Module):
     coeffs = module.algebra()
     if not isinstance(coeffs, PolynomialCoefficients):
         raise UnsupportedModuleError("rank-one invariants need the polynomial map algebra")
+    if not isinstance(module.zero_vector(), PolyT):
+        raise UnsupportedModuleError("rank-one invariants need a module on C[t] (the omega family)")
     one = PolyT.one()
     g1 = module.act(AlgebraElement(coeffs, {(d(1), (0,) * coeffs.k): ONE}), one)
     if g1.degree != 1:

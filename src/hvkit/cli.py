@@ -35,6 +35,8 @@ from .modules import (
     Module,
     OmegaModule,
     TruncatedVerma,
+    int_field,
+    int_list_field,
     module_from_descriptor,
 )
 from .polys import PolyB
@@ -60,10 +62,7 @@ def _fail(field: str, why: str):
 
 
 def _get_int(bounds: dict, name: str, default: int) -> int:
-    value = bounds.get(name, default)
-    if not isinstance(value, int) or isinstance(value, bool):
-        _fail(f"bounds.{name}", "must be an integer")
-    return value
+    return int_field(bounds.get(name, default), f"bounds.{name}")
 
 
 def _parse_poly(data, field: str) -> PolyB:
@@ -80,7 +79,7 @@ def _parse_poly(data, field: str) -> PolyB:
     for i, entry in enumerate(terms):
         if not isinstance(entry, dict) or set(entry) - {"exp", "coeff"}:
             _fail(f"{field}.terms[{i}]", "must have fields 'exp' and 'coeff'")
-        exp = tuple(int(e) for e in entry.get("exp", ()))
+        exp = int_list_field(entry.get("exp", []), f"{field}.terms[{i}].exp")
         if k is None:
             k = len(exp)
         elif len(exp) != k:

@@ -872,6 +872,8 @@ def describe(module: Module) -> dict:
 
 
 def _take(data: dict, required, optional, context: str) -> dict:
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"{context}: must be an object")
     unknown = set(data) - set(required) - set(optional)
     if unknown:
         raise ConfigurationError(f"{context}: unknown field {sorted(unknown)[0]!r}")
@@ -879,6 +881,20 @@ def _take(data: dict, required, optional, context: str) -> dict:
     if missing:
         raise ConfigurationError(f"{context}: missing field {missing[0]!r}")
     return data
+
+
+def int_field(value, path: str) -> int:
+    """``value`` if it is an integer (not a bool); else a ConfigurationError naming ``path``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigurationError(f"{path}: must be an integer")
+    return value
+
+
+def int_list_field(value, path: str) -> tuple:
+    """A list of integers as a tuple; else a ConfigurationError naming ``path``."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigurationError(f"{path}: must be a list of integers")
+    return tuple(int_field(v, f"{path}[{i}]") for i, v in enumerate(value))
 
 
 def _parse_point(values, context: str):
@@ -894,11 +910,12 @@ def module_from_descriptor(data: dict) -> Module:
     family = data.get("family")
     if family == "intermediate":
         _take(data, ("family", "alpha", "beta", "F"), ("drop_line",), "intermediate")
+        drop_line = data.get("drop_line")
         return IntermediateSeries(
             parse_scalar(data["alpha"]),
             parse_scalar(data["beta"]),
             parse_scalar(data["F"]),
-            drop_line=data.get("drop_line"),
+            drop_line=None if drop_line is None else int_field(drop_line, "intermediate.drop_line"),
         )
     if family == "omega":
         _take(data, ("family", "lambda", "alpha", "mu", "beta"), (), "omega")
@@ -912,39 +929,51 @@ def module_from_descriptor(data: dict) -> Module:
         )
     if family == "evaluation":
         _take(data, ("family", "point", "order", "inner"), (), "evaluation")
-        quotient = JetQuotient(_parse_point(data["point"], "evaluation"), data["order"])
+        quotient = JetQuotient(
+            _parse_point(data["point"], "evaluation"),
+            int_field(data["order"], "evaluation.order"),
+        )
         return EvaluationModule(quotient, module_from_descriptor(data["inner"]))
     if family == "verma":
         _take(data, ("family",), ("quotients", "max_level", "phi"), "verma")
         quotients = data.get("quotients") or []
+        if not isinstance(quotients, list):
+            raise ConfigurationError("verma.quotients: must be a list of objects")
         if quotients:
-            coeffs = QuotientCoefficients(
-                JetQuotient(_parse_point(q["point"], "verma quotient"), q["order"])
-                for q in (
-                    _take(q, ("point", "order"), (), "verma quotient")
-                    for q in quotients
+            jets = []
+            for i, q in enumerate(quotients):
+                path = f"verma.quotients[{i}]"
+                _take(q, ("point", "order"), (), path)
+                jets.append(
+                    JetQuotient(_parse_point(q["point"], path), int_field(q["order"], f"{path}.order"))
                 )
-            )
+            coeffs = QuotientCoefficients(jets)
         else:
             coeffs = PolynomialCoefficients(0)
+        phi = data.get("phi") or []
+        if not isinstance(phi, list):
+            raise ConfigurationError("verma.phi: must be a list of objects")
         values = {}
-        for entry in data.get("phi") or []:
-            _take(entry, ("gen", "value"), ("point", "exp"), "phi entry")
+        for i, entry in enumerate(phi):
+            path = f"verma.phi[{i}]"
+            _take(entry, ("gen", "value"), ("point", "exp"), path)
             slot = entry["gen"]
             if slot not in _PHI_SLOTS:
-                raise ConfigurationError(f"phi entry: unknown gen {slot!r}")
-            exp = tuple(int(e) for e in entry.get("exp") or ())
+                raise ConfigurationError(f"{path}: unknown gen {slot!r}")
+            exp = int_list_field(entry.get("exp") or [], f"{path}.exp")
             if isinstance(coeffs, PolynomialCoefficients):
                 if any(exp):
-                    raise ConfigurationError("phi entry: exp must be empty over trivial B")
+                    raise ConfigurationError(f"{path}: exp must be empty over trivial B")
                 key = ()
             else:
-                key = (int(entry.get("point", 0)), exp)
+                key = (int_field(entry.get("point", 0), f"{path}.point"), exp)
                 if key not in set(coeffs.basis_keys()):
-                    raise ConfigurationError(f"phi entry: key {key} outside the quotient basis")
+                    raise ConfigurationError(f"{path}: key {key} outside the quotient basis")
             values[(slot, key)] = parse_scalar(entry["value"])
         return TruncatedVerma(
-            HighestWeightFunctional(values), coeffs, max_level=data.get("max_level", 6)
+            HighestWeightFunctional(values),
+            coeffs,
+            max_level=int_field(data.get("max_level", 6), "verma.max_level"),
         )
     if family == "tensor":
         _take(data, ("family", "left", "right"), (), "tensor")

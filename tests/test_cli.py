@@ -1,9 +1,10 @@
 import json
+import re
 
 import pytest
 
 from hvkit.cli import main, run_config
-from hvkit.errors import ConfigurationError
+from hvkit.errors import ConfigurationError, UnsupportedModuleError
 from hvkit.modules import module_from_descriptor
 
 OMEGA = {"family": "omega", "lambda": "2", "alpha": "3", "mu": ["1"], "beta": "0"}
@@ -201,3 +202,55 @@ def test_main_single_line_diagnostic(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.strip() == "config error: lambda must be nonzero"
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "module",
+    [INTERMEDIATE, EVAL1],
+    ids=["intermediate", "evaluation"],
+)
+def test_invariants_rejects_non_omega_modules(tmp_path, capsys, module):
+    with pytest.raises(UnsupportedModuleError, match="omega"):
+        run_config({"command": "invariants", "module": module})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"command": "invariants", "module": module}))
+    assert main(["--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+
+
+def _verma_with(**fields):
+    return dict(VERMA, **fields)
+
+
+@pytest.mark.parametrize(
+    "config, diagnostic",
+    [
+        (
+            {"command": "hc-suite", "module": VERMA, "f": {"terms": [{"exp": ["z"], "coeff": "1"}]}},
+            "f.terms[0].exp[0]: must be an integer",
+        ),
+        (
+            {"command": "weights", "module": _verma_with(phi=[{"gen": "d0", "point": 0, "exp": ["a"], "value": "1"}])},
+            "verma.phi[0].exp[0]: must be an integer",
+        ),
+        ({"command": "weights", "module": _verma_with(quotients=[5])}, "verma.quotients[0]: must be an object"),
+        ({"command": "weights", "module": _verma_with(max_level="7")}, "verma.max_level: must be an integer"),
+        ({"command": "weights", "module": dict(EVAL1, order="x")}, "evaluation.order: must be an integer"),
+        (
+            {"command": "weights", "module": dict(INTERMEDIATE, drop_line="0")},
+            "intermediate.drop_line: must be an integer",
+        ),
+    ],
+    ids=["poly-exp", "phi-exp", "quotient", "max-level", "order", "drop-line"],
+)
+def test_integer_descriptor_fields_are_type_checked(tmp_path, capsys, config, diagnostic):
+    with pytest.raises(ConfigurationError, match=re.escape(diagnostic)):
+        run_config(config)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {diagnostic}\n"
