@@ -2,7 +2,7 @@
 
 Everything here is a bounded, exact check: axiom sweeps replay the bracket
 against double actions, probes hunt for invariant subspaces inside a finite
-window, and singular vectors come out of an exact kernel computation.  A
+window, and singular vectors come out of exact elimination, level by level.  A
 reducibility witness is conclusive; a "window-irreducible" verdict is a
 bounded-scope certificate, never a proof.
 """
@@ -32,7 +32,7 @@ from .errors import (
     LevelOverflowError,
     UnsupportedModuleError,
 )
-from .linalg import nullspace
+from .linalg import sparse_kernel, sparse_rref
 from .modules import (
     EvaluationModule,
     IntermediateSeries,
@@ -382,39 +382,61 @@ def _raising_words(factors: list, degree: int) -> list:
 def singular_vectors(module: TruncatedVerma, level: int, raising: str = "generators") -> list:
     """Basis of the maximal-submodule slice at the given level.
 
-    A level-n vector generates a proper submodule exactly when every word of
-    raising operators of total degree n sends it to zero in the
-    highest-weight line; the kernel of that joint map is computed by exact
-    elimination.  The restricted raising set {d_1, d_2, I_1} (decorated by
-    the coefficient basis) suffices because it generates the whole positive
-    part, so its words span the same functionals as all raising words; the
-    "full" mode exists to cross-validate exactly that.
+    The maximal proper submodule M is built up the levels: M_0 = 0, and a
+    level-m vector v lies in M_m exactly when e.v lies in M_{m - deg e} for
+    every raising factor e.  Each level m below the target is kept as R_m,
+    the nonzero rows of a reduced row echelon form whose kernel is M_m, so
+    applying R_m to a level-m vector gives its coordinates in V_m / M_m.
+    The rows at level m are the quotient coordinates of e.u, one factor e
+    acting once on each basis monomial u; their exact elimination gives R_m.
+    At the target level the kernel comes back as the free-column basis of
+    the reduced rows, in ``level_monomials`` order.
+
+    The restricted raising set {d_1, d_2, I_1} (decorated by the
+    coefficient basis) suffices because it generates the whole positive
+    part; the "full" mode (d_i, I_i for i <= level) exists to
+    cross-validate exactly that.
     """
     monos = module.level_monomials(level)
+    if level < 0:
+        raise ConfigurationError(f"level must be >= 0, got {level}")
     factors = _raising_factors(module, level, raising)
-    words = _raising_words(factors, level)
     single_ops = {
         fac: AlgebraElement(module.coeffs, {(Generator(fac[0], fac[1]), fac[2]): ONE})
         for fac in factors
     }
-    rows = []
-    for word in words:
-        row = []
-        for mono in monos:
-            vec = PBWVector({mono: ONE})
-            for fac in reversed(word):
-                vec = module.act(single_ops[fac], vec)
-                if vec.is_zero:
-                    break
-            row.append(vec.coeff(()))
-        rows.append(row)
-    if not rows:
-        rows = [[ZERO] * len(monos)]
-    kernel = nullspace(rows, len(monos))
+    # quotient coordinates by level: coords[m][mono] = {row of R_m: coefficient}
+    coords: list = []
+    reduced = [(0, {0: ONE})]  # R_0: M_0 = 0, the coordinate is the hw coefficient
+    for m in range(1, level + 1):
+        coords.append(_quotient_coordinates(reduced, module.level_monomials(m - 1)))
+        rows: list = []
+        for fac in factors:
+            if fac[1] > m:
+                continue
+            below = coords[m - fac[1]]
+            fac_rows: dict = {}
+            for j, mono in enumerate(module.level_monomials(m)):
+                image = module.act(single_ops[fac], PBWVector({mono: ONE}))
+                for m2, c in image.terms.items():
+                    for i, rc in below.get(m2, {}).items():
+                        row = fac_rows.setdefault(i, {})
+                        row[j] = row.get(j, ZERO) + c * rc
+            rows.extend(fac_rows.values())
+        reduced = sparse_rref(rows)
     return [
-        PBWVector({mono: c for mono, c in zip(monos, vec)})
-        for vec in kernel
+        PBWVector({monos[j]: c for j, c in vec.items()})
+        for vec in sparse_kernel(reduced, len(monos))
     ]
+
+
+def _quotient_coordinates(reduced: list, monos: list) -> dict:
+    """Column view of reduced rows: each monomial's coordinates in V/M."""
+    out: dict = {}
+    for i, (_pivot, row) in enumerate(reduced):
+        for j, c in row.items():
+            out.setdefault(monos[j], {})[i] = c
+    return out
 
 
 def in_maximal_submodule(module: TruncatedVerma, v: PBWVector) -> bool:
@@ -422,8 +444,8 @@ def in_maximal_submodule(module: TruncatedVerma, v: PBWVector) -> bool:
 
     Recursively: a vector lies in it iff each restricted raising generator
     maps it into the maximal submodule one or two levels down, with the
-    level-0 slice being zero.  Equivalent to the word-kernel computation,
-    but only walks the reachable cone of the given vector.
+    level-0 slice being zero.  The same recursion as ``singular_vectors``,
+    but walked over the reachable cone of the given vector.
     """
     by_level: dict[int, dict] = {}
     for mono, c in v.terms.items():

@@ -65,6 +65,13 @@ def _get_int(bounds: dict, name: str, default: int) -> int:
     return int_field(bounds.get(name, default), f"bounds.{name}")
 
 
+def _get_count(bounds: dict, name: str, default: int) -> int:
+    value = _get_int(bounds, name, default)
+    if value < 0:
+        _fail(f"bounds.{name}", "must be >= 0")
+    return value
+
+
 def _parse_poly(data, field: str) -> PolyB:
     if not isinstance(data, dict):
         _fail(field, "must be an object with a 'terms' list")
@@ -121,9 +128,9 @@ def run_config(config: dict, out_format: str = "json", seed: int | None = None):
 
     if command == "jacobi-sweep":
         report = jacobi_antisymmetry_sweep(
-            _get_int(bounds, "index", 6),
-            _get_int(bounds, "monomial", 2),
-            _get_int(bounds, "k", 2),
+            _get_count(bounds, "index", 6),
+            _get_count(bounds, "monomial", 2),
+            _get_count(bounds, "k", 2),
         )
         payload = {
             "command": command,

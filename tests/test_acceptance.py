@@ -35,6 +35,7 @@ from hvkit.modules import (
 )
 from hvkit.polys import JetQuotient, PolyB
 from hvkit.scalars import ONE, ZERO, Scalar
+from test_singular_oracle import _reference_singular_vectors
 
 HALF = Scalar(Fraction(1, 2))
 
@@ -231,6 +232,7 @@ def test_criterion_5_identity_suite():
 def test_criterion_6_raising_word_oracles():
     rng = random.Random(2024)
     mismatches = []
+    word_mismatches = []
     for trial in range(10):
         values = {
             (slot, ()): Scalar(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
@@ -244,12 +246,16 @@ def test_criterion_6_raising_word_oracles():
             b = sorted(v.render() for v in singular_vectors(M, level, "full"))
             if a != b:
                 mismatches.append((trial, level))
-    ok = not mismatches
+            words = sorted(v.render() for v in _reference_singular_vectors(M, level))
+            if a != words:
+                word_mismatches.append((trial, level))
+    ok = not mismatches and not word_mismatches
     _line(
         6,
         ok,
-        f"restricted {{d1, d2, I1}} words and full raising words give identical kernels "
-        f"at levels <= 4 for 10 random functionals; mismatches: {mismatches or 'none'}",
+        f"restricted {{d1, d2, I1}} and full raising sets give identical kernels "
+        f"at levels <= 4 for 10 random functionals; mismatches: {mismatches or 'none'}; "
+        f"level recursion against the word kernel: {word_mismatches or 'none'}",
     )
 
 

@@ -4,7 +4,7 @@ import re
 import pytest
 
 from hvkit.cli import main, run_config
-from hvkit.errors import ConfigurationError, UnsupportedModuleError
+from hvkit.errors import ConfigurationError, LevelOverflowError, UnsupportedModuleError
 from hvkit.modules import module_from_descriptor
 
 OMEGA = {"family": "omega", "lambda": "2", "alpha": "3", "mu": ["1"], "beta": "0"}
@@ -254,3 +254,33 @@ def test_integer_descriptor_fields_are_type_checked(tmp_path, capsys, config, di
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"config error: {diagnostic}\n"
+
+
+@pytest.mark.parametrize(
+    "config, diagnostic",
+    [
+        ({"command": "jacobi-sweep", "bounds": {"index": 1, "monomial": 1, "k": -1}}, "bounds.k: must be >= 0"),
+        ({"command": "jacobi-sweep", "bounds": {"index": 1, "monomial": -1, "k": 2}}, "bounds.monomial: must be >= 0"),
+        ({"command": "jacobi-sweep", "bounds": {"index": -1, "monomial": 1, "k": 1}}, "bounds.index: must be >= 0"),
+        ({"command": "singular-vectors", "module": VERMA, "bounds": {"level": -1}}, "level must be >= 0"),
+    ],
+    ids=["jacobi-k", "jacobi-monomial", "jacobi-index", "singular-level"],
+)
+def test_negative_bounds_are_rejected(tmp_path, capsys, config, diagnostic):
+    with pytest.raises(ConfigurationError, match=re.escape(diagnostic)):
+        run_config(config)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {diagnostic}")
+    assert captured.err.count("\n") == 1
+
+
+def test_singular_vectors_level_zero_and_overflow():
+    code, text = run_config({"command": "singular-vectors", "module": VERMA, "bounds": {"level": 0}})
+    assert code == 0
+    assert json.loads(text)["vectors"] == []
+    with pytest.raises(LevelOverflowError):
+        run_config({"command": "singular-vectors", "module": VERMA, "bounds": {"level": 5}})
