@@ -20,14 +20,12 @@ from .algebra import (
     d,
     element,
     gen_elt,
-    grade_split,
     hv_structure,
     I,
     jacobi_antisymmetry_sweep,
     jacobi_check,
     parse_element,
     project_element,
-    quotient_algebra,
     render_element,
     zero_element,
 )
@@ -71,7 +69,6 @@ from .modules import (
     TensorVector,
     TruncatedVerma,
     WeightVector,
-    describe,
     module_from_descriptor,
 )
 from .polys import (
@@ -82,7 +79,6 @@ from .polys import (
     PolyT,
     jet_expand,
     poly_eval,
-    polyt_shift,
 )
 from .scalars import IMAG, ONE, ZERO, Scalar, parse_scalar, render_scalar, scalar
 

@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 
 from .errors import ConfigurationError, DimensionMismatchError, ParseError
 from .polys import PolyB, exponents_upto, jet_expand
-from .scalars import ONE, ZERO, parse_scalar, render_scalar, scalar
+from .scalars import ONE, ZERO, Combination, parse_scalar, render_scalar, scalar
 
 _CENTRAL_KINDS = ("C", "CD", "CI")
 _KINDS = ("d", "I") + _CENTRAL_KINDS
@@ -232,74 +232,25 @@ class QuotientCoefficients:
 HV = PolynomialCoefficients(0)
 
 
-def quotient_algebra(quotients) -> QuotientCoefficients:
-    """Coefficient algebra of the quotient map algebra over distinct points."""
-    return QuotientCoefficients(quotients)
-
-
 # ---------------------------------------------------------------------------
 # algebra elements
 # ---------------------------------------------------------------------------
 
 
-class AlgebraElement:
+class AlgebraElement(Combination):
     """Finite linear combination of generators tensored with coefficient keys."""
 
-    __slots__ = ("coeffs", "terms")
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs, terms=None):
-        clean = {}
-        for key, c in (terms or {}).items():
-            c = scalar(c)
-            if not c.is_zero:
-                clean[key] = c
         object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "terms", clean)
+        Combination.__init__(self, terms)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("AlgebraElement is immutable")
+    def _space(self):
+        return self.coeffs
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _check(self, other: "AlgebraElement"):
-        if self.coeffs != other.coeffs:
-            raise DimensionMismatchError("elements live over different coefficient algebras")
-
-    def __add__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, ZERO) + c
-        return AlgebraElement(self.coeffs, out)
-
-    def __sub__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return AlgebraElement(self.coeffs, {k: -c for k, c in self.terms.items()})
-
-    def __mul__(self, other):
-        try:
-            c = scalar(other)
-        except TypeError:
-            return NotImplemented
-        return AlgebraElement(self.coeffs, {k: c * v for k, v in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return self.coeffs == other.coeffs and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.coeffs, frozenset(self.terms.items())))
+    def _like(self, terms):
+        return AlgebraElement(self.coeffs, terms)
 
     def degree(self) -> int | None:
         """Common degree of all terms, or None if mixed (0 for the zero element)."""
@@ -377,10 +328,6 @@ def jacobi_check(x: AlgebraElement, y: AlgebraElement, z: AlgebraElement,
         + bracket(y, bracket(z, x, structure), structure)
         + bracket(z, bracket(x, y, structure), structure)
     )
-
-
-def grade_split(x: AlgebraElement):
-    return x.grade_split()
 
 
 def project_element(x: AlgebraElement, quotient: QuotientCoefficients) -> AlgebraElement:

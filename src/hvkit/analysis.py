@@ -80,10 +80,6 @@ def algebra_generator_elements(coeffs, index_bound: int, monomial_bound: int) ->
     return [AlgebraElement(coeffs, {(g, key): ONE}) for g in gens for key in keys]
 
 
-def _term_label(x: AlgebraElement) -> str:
-    return x.render()
-
-
 # ---------------------------------------------------------------------------
 # module axiom sweep
 # ---------------------------------------------------------------------------
@@ -168,12 +164,12 @@ def axiom_sweep(
                 rhs = module.act(ops[i], wy) - module.act(ops[j], wx)
             except LevelOverflowError:
                 report.inconclusive.append(
-                    (_term_label(ops[i]), _term_label(ops[j]), str(label))
+                    (ops[i].render(), ops[j].render(), str(label))
                 )
                 continue
             if lhs != rhs:
                 report.violations.append(
-                    (_term_label(ops[i]), _term_label(ops[j]), str(label))
+                    (ops[i].render(), ops[j].render(), str(label))
                 )
     report.violations_found = len(report.violations)
     report.violations.sort()

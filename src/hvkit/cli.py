@@ -151,15 +151,15 @@ def run_config(config: dict, out_format: str = "json", seed: int | None = None):
         report = axiom_sweep(
             module,
             index_bound=_get_int(bounds, "index", 5),
-            monomial_bound=_get_int(bounds, "monomial", 2),
-            window=_get_int(bounds, "window", _default_window(module)),
+            monomial_bound=_get_count(bounds, "monomial", 2),
+            window=_get_count(bounds, "window", _default_window(module)),
             order_seed=seed,
         )
         payload.update(report.summary())
         return (0 if report.clean else 1), _render(payload, out_format)
 
     if command == "weights":
-        table = weight_table(module, window=_get_int(bounds, "window", 4))
+        table = weight_table(module, window=_get_count(bounds, "window", 4))
         rows = sorted(table.items(), key=lambda item: item[0].sort_key())
         if out_format == "tsv":
             lines = ["d0\tI0\tC\tCI\tCD\tdimension"]
@@ -212,7 +212,7 @@ def run_config(config: dict, out_format: str = "json", seed: int | None = None):
         if "f" not in config:
             _fail("f", "required for hc-suite")
         f = _parse_poly(config["f"], "f")
-        report = hc_criterion_suite(module, f, singular_depth=_get_int(bounds, "level", 4))
+        report = hc_criterion_suite(module, f, singular_depth=_get_count(bounds, "level", 4))
         payload.update(report.summary())
         return (0 if report.passed else 1), _render(payload, out_format)
 
@@ -236,8 +236,8 @@ def run_config(config: dict, out_format: str = "json", seed: int | None = None):
         report = annihilator_probe(
             module,
             polys,
-            window=_get_int(bounds, "window", 2),
-            index_bound=_get_int(bounds, "index", 2),
+            window=_get_count(bounds, "window", 2),
+            index_bound=_get_count(bounds, "index", 2),
         )
         payload.update(report.summary())
         return 0, _render(payload, out_format)

@@ -1,7 +1,12 @@
 """The five module families behind one action interface.
 
-Every family is a handle object with ``act(x, v)`` taking an algebra element
-over the family's coefficient algebra and a family-specific vector:
+A family defines only its column: ``_column(kind, index, key, basis_key)``,
+the (basis key, coefficient) pairs of one decorated generator
+``kind_index (x) key`` acting on one basis vector.  :meth:`Module.act` is the
+package's one linear extension: it checks the element, extends the column
+linearly over the terms the family reads x as (``_terms``: the terms of x,
+except for the evaluation wrapper and tensor products) and the coordinates
+of v, and builds the vector.  The families and their columns:
 
 * ``IntermediateSeries`` -- weight lines v_{alpha+k} indexed by integer
   offsets; d_i shifts a line by i with coefficient alpha + k + beta*i, I_i
@@ -9,15 +14,21 @@ over the family's coefficient algebra and a family-specific vector:
 * ``OmegaModule`` -- C[t] with the translation action
   d_n (x) b^r : f |-> mu^r lambda^{n-|r|} f(t-n)(t - n*alpha), the rank-one
   family free over the subalgebra generated by d_0 (d_0 acts as
-  multiplication by t).  lambda must be nonzero.
+  multiplication by t).  lambda must be nonzero.  Vectors are ``PolyT``.
 * ``EvaluationModule`` -- wraps a module over a single jet quotient (or over
   the core algebra when the order is 1) into a module over the polynomial
-  map algebra: x (x) p acts through the jet expansion of p.
+  map algebra: x (x) p acts through the jet expansion of p, so the wrapper
+  reads x as its merged image in the inner algebra (``translate``) and its
+  column is the inner module's column.
 * ``TruncatedVerma`` -- the highest-weight module induced from a functional
   on the zero part, materialized on its PBW basis up to a truncation level.
   Raising operators are never truncated (they lower the level); lowering
   past the truncation raises :class:`LevelOverflowError`.
-* ``TensorModule`` -- Leibniz action on pairs of factor basis vectors.
+* ``TensorModule`` -- Leibniz on the two factor columns: x is read as the
+  terms each factor reads it as, tagged with the factor's side.
+
+Weight, PBW and tensor vectors are :class:`~hvkit.scalars.Combination`
+objects keyed by basis keys.
 
 A handle's parameters are immutable, but a handle is not stateless: it fills
 unbounded memo caches as it acts (``OmegaModule._term_cache``,
@@ -26,7 +37,7 @@ unbounded memo caches as it acts (``OmegaModule._term_cache``,
 deterministic function of its key, so results do not depend on call order;
 the memory is held until the handle is dropped.  Cached dicts and lists are
 handed to callers as they are and must not be mutated, and nothing locks the
-caches.  Descriptors round-trip through :func:`describe` /
+caches.  Descriptors round-trip through :meth:`Module.describe` /
 :func:`module_from_descriptor` as JSON-shaped dicts.
 """
 
@@ -46,7 +57,7 @@ from .errors import (
     LevelOverflowError,
 )
 from .polys import JetQuotient, PolyB, PolyT, jet_expand
-from .scalars import ONE, ZERO, Scalar, parse_scalar, render_scalar, scalar
+from .scalars import ONE, ZERO, Combination, Scalar, parse_scalar, render_scalar, scalar
 
 
 # ---------------------------------------------------------------------------
@@ -54,67 +65,7 @@ from .scalars import ONE, ZERO, Scalar, parse_scalar, render_scalar, scalar
 # ---------------------------------------------------------------------------
 
 
-class _MapVector:
-    """Finitely supported map from basis keys to scalars."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        for key, c in (terms or {}).items():
-            c = scalar(c)
-            if not c.is_zero:
-                clean[key] = c
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def coeff(self, key) -> Scalar:
-        return self.terms.get(key, ZERO)
-
-    def __add__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, ZERO) + c
-        return type(self)(out)
-
-    def __sub__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return type(self)({k: -c for k, c in self.terms.items()})
-
-    def __mul__(self, other):
-        try:
-            c = scalar(other)
-        except TypeError:
-            return NotImplemented
-        return type(self)({k: c * v for k, v in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self.terms!r})"
-
-
-class WeightVector(_MapVector):
+class WeightVector(Combination):
     """Combination of weight lines, keyed by the integer offset k of v_{alpha+k}."""
 
     @classmethod
@@ -132,7 +83,7 @@ class WeightVector(_MapVector):
         return " + ".join(parts)
 
 
-class PBWVector(_MapVector):
+class PBWVector(Combination):
     """Combination of PBW monomials applied to the highest-weight generator."""
 
     @classmethod
@@ -162,7 +113,7 @@ class PBWVector(_MapVector):
         return " + ".join(parts)
 
 
-class TensorVector(_MapVector):
+class TensorVector(Combination):
     """Combination of pure tensors, keyed by (left basis key, right basis key)."""
 
     @classmethod
@@ -177,22 +128,51 @@ class TensorVector(_MapVector):
 
 class Module:
     family = "abstract"
+    # the family's Combination subclass; OmegaModule and EvaluationModule
+    # override the vector hooks instead
+    vector_type = None
 
     def algebra(self):
         raise NotImplementedError
 
-    def act(self, x: AlgebraElement, v):
+    def _column(self, kind: str, index: int, key, basis_key):
+        """(basis key, coefficient) pairs of kind_index (x) key on one basis vector."""
         raise NotImplementedError
+
+    def act(self, x: AlgebraElement, v):
+        """x . v, the family's column extended linearly over x and v."""
+        self._check_element(x)
+        coords = self._coordinates(v)
+        column = self._column
+        out: dict = {}
+        for ((kind, index), key), c in self._terms(x):
+            for b, cv in coords:
+                cc = c * cv
+                for b2, c2 in column(kind, index, key, b):
+                    out[b2] = out.get(b2, ZERO) + cc * c2
+        return self._vector(out)
+
+    def _terms(self, x: AlgebraElement):
+        """((generator, key), coefficient) pairs the column is extended over."""
+        return x.terms.items()
+
+    def _coordinates(self, v):
+        """(basis key, coefficient) pairs of a vector, in any order."""
+        return v.terms.items()
+
+    def _vector(self, coords: dict):
+        """The vector with these basis coordinates."""
+        return self.vector_type(coords)
 
     def zero_vector(self):
-        raise NotImplementedError
+        return self._vector({})
 
     def basis_vector(self, key):
-        raise NotImplementedError
+        return self._vector({key: ONE})
 
     def components(self, v):
         """Decompose a vector into (basis key, coefficient) pairs."""
-        raise NotImplementedError
+        return sorted(v.terms.items())
 
     def window_basis(self, window: int):
         """Finite list of (key, basis vector) pairs used by sweeps and probes."""
@@ -229,6 +209,7 @@ class IntermediateSeries(Module):
     """
 
     family = "intermediate"
+    vector_type = WeightVector
 
     __slots__ = ("alpha", "beta", "f", "drop_line", "_coeffs")
 
@@ -255,46 +236,19 @@ class IntermediateSeries(Module):
     def algebra(self):
         return self._coeffs
 
-    def act(self, x: AlgebraElement, v: WeightVector) -> WeightVector:
-        self._check_element(x)
-        drop = self.drop_line
-        out: dict = {}
-        for (g, _key), c in x.terms.items():
-            if g.is_central_kind:
-                continue
-            i = g.index
-            if g.kind == "d":
-                for k, cv in v.terms.items():
-                    if k == drop:
-                        continue
-                    w = self.alpha + k + self.beta * i
-                    if w.is_zero:
-                        continue
-                    tgt = k + i
-                    if tgt == drop:
-                        continue
-                    out[tgt] = out.get(tgt, ZERO) + c * cv * w
-            else:
-                if self.f.is_zero:
-                    continue
-                cf = c * self.f
-                for k, cv in v.terms.items():
-                    if k == drop:
-                        continue
-                    tgt = k + i
-                    if tgt == drop:
-                        continue
-                    out[tgt] = out.get(tgt, ZERO) + cf * cv
-        return WeightVector(out)
+    act = Module.act  # own class-dict entry: bench/spans.py wraps it per family
 
-    def zero_vector(self):
-        return WeightVector()
-
-    def basis_vector(self, key):
-        return WeightVector.line(key)
-
-    def components(self, v: WeightVector):
-        return sorted(v.terms.items())
+    def _column(self, kind, index, key, k):
+        if kind == "d":
+            w = self.alpha + k + self.beta * index
+        elif kind == "I":
+            w = self.f
+        else:
+            return ()
+        tgt = k + index
+        if w.is_zero or self.drop_line in (k, tgt):
+            return ()
+        return ((tgt, w),)
 
     def window_basis(self, window: int):
         return [
@@ -366,47 +320,34 @@ class OmegaModule(Module):
                 s = s * mu_i**e
         return s
 
-    def _term_on_power(self, kind: str, n: int, exps, j: int) -> PolyT:
-        """Action of one decorated generator on t^j, cached per handle."""
+    act = Module.act  # own class-dict entry: bench/spans.py wraps it per family
+
+    def _column(self, kind, n, exps, j):
+        """Coordinates of one decorated generator on t^j, cached per handle."""
+        if kind not in ("d", "I"):
+            return ()
         key = (kind, n, exps, j)
         hit = self._term_cache.get(key)
         if hit is None:
             s = self._scale(n, exps)
             shifted = PolyT.t_power(j).shift(n)
             if kind == "d":
-                hit = s * (shifted * PolyT((-n * self.alpha, ONE)))
+                image = s * (shifted * PolyT((-n * self.alpha, ONE)))
             else:
-                hit = (s * self.beta) * shifted
+                image = (s * self.beta) * shifted
+            hit = self._coordinates(image)
             self._term_cache[key] = hit
         return hit
 
-    def act(self, x: AlgebraElement, f: PolyT) -> PolyT:
-        self._check_element(x)
-        acc: dict = {}
-        for (g, exps), c in x.terms.items():
-            if g.is_central_kind:
-                continue
-            for j, fc in enumerate(f.coeffs):
-                if fc.is_zero:
-                    continue
-                base = self._term_on_power(g.kind, g.index, exps, j)
-                w = c * fc
-                for deg, bc in enumerate(base.coeffs):
-                    if not bc.is_zero:
-                        acc[deg] = acc.get(deg, ZERO) + w * bc
-        if not acc:
-            return PolyT.zero()
-        top = max(acc)
-        return PolyT([acc.get(i, ZERO) for i in range(top + 1)])
-
-    def zero_vector(self):
-        return PolyT.zero()
-
-    def basis_vector(self, key):
-        return PolyT.t_power(key)
-
-    def components(self, f: PolyT):
+    def _coordinates(self, f: PolyT):
         return [(j, c) for j, c in enumerate(f.coeffs) if not c.is_zero]
+
+    def _vector(self, coords: dict) -> PolyT:
+        if not coords:
+            return PolyT.zero()
+        return PolyT([coords.get(i, ZERO) for i in range(max(coords) + 1)])
+
+    components = _coordinates
 
     def window_basis(self, window: int):
         return [(j, PolyT.t_power(j)) for j in range(window + 1)]
@@ -465,9 +406,15 @@ class EvaluationModule(Module):
         return self._coeffs
 
     def _jets(self, exps):
+        """(inner key, coefficient) pairs of b^exps, through its jets; cached."""
         jets = self._jet_cache.get(exps)
         if jets is None:
-            jets = jet_expand(PolyB.monomial(exps), self.quotient)
+            expanded = jet_expand(PolyB.monomial(exps), self.quotient)
+            if self._mode == "scalar":
+                eta = expanded.get((0,) * self.quotient.k)
+                jets = [] if eta is None else [((), eta)]
+            else:
+                jets = [((0, r), jc) for r, jc in expanded.items()]
             self._jet_cache[exps] = jets
         return jets
 
@@ -476,27 +423,25 @@ class EvaluationModule(Module):
         self._check_element(x)
         acc: dict = {}
         for (g, exps), c in x.terms.items():
-            jets = self._jets(exps)
-            if self._mode == "scalar":
-                eta = jets.get((0,) * self.quotient.k)
-                if eta is None:
-                    continue
-                tk = (g, ())
-                acc[tk] = acc.get(tk, ZERO) + c * eta
-            else:
-                for r, jc in jets.items():
-                    tk = (g, (0, r))
-                    acc[tk] = acc.get(tk, ZERO) + c * jc
+            for key, jc in self._jets(exps):
+                tk = (g, key)
+                acc[tk] = acc.get(tk, ZERO) + c * jc
         return AlgebraElement(self.inner.algebra(), acc)
 
-    def act(self, x: AlgebraElement, v):
-        return self.inner.act(self.translate(x), v)
+    act = Module.act  # own class-dict entry: bench/spans.py wraps it per family
 
-    def zero_vector(self):
-        return self.inner.zero_vector()
+    def _terms(self, x):
+        # merged first, so terms whose jet images cancel never act
+        return self.inner._terms(self.translate(x))
 
-    def basis_vector(self, key):
-        return self.inner.basis_vector(key)
+    def _column(self, kind, index, key, basis_key):
+        return self.inner._column(kind, index, key, basis_key)
+
+    def _coordinates(self, v):
+        return self.inner._coordinates(v)
+
+    def _vector(self, coords: dict):
+        return self.inner._vector(coords)
 
     def components(self, v):
         return self.inner.components(v)
@@ -610,6 +555,7 @@ class TruncatedVerma(Module):
     """
 
     family = "verma"
+    vector_type = PBWVector
 
     __slots__ = ("phi", "coeffs", "max_level", "order", "structure", "_cache", "_level_cache")
 
@@ -659,15 +605,10 @@ class TruncatedVerma(Module):
 
     # -- action ------------------------------------------------------------
 
-    def act(self, x: AlgebraElement, v: PBWVector) -> PBWVector:
-        self._check_element(x)
-        out: dict = {}
-        for (g, key), c in x.terms.items():
-            for mono, cv in v.terms.items():
-                cc = c * cv
-                for m2, c2 in self._act_term(g.kind, g.index, key, mono).items():
-                    out[m2] = out.get(m2, ZERO) + cc * c2
-        return PBWVector(out)
+    act = Module.act  # own class-dict entry: bench/spans.py wraps it per family
+
+    def _column(self, kind, index, key, mono):
+        return self._act_term(kind, index, key, mono).items()
 
     def _act_term(self, kind: str, idx: int, key, mono) -> dict:
         cache_key = (kind, idx, key, mono)
@@ -755,15 +696,6 @@ class TruncatedVerma(Module):
     def level_dimension(self, level: int) -> int:
         return len(self.level_monomials(level))
 
-    def zero_vector(self):
-        return PBWVector()
-
-    def basis_vector(self, key):
-        return PBWVector({key: ONE})
-
-    def components(self, v: PBWVector):
-        return sorted(v.terms.items())
-
     def window_basis(self, window: int):
         out = []
         for level in range(min(window, self.max_level) + 1):
@@ -808,6 +740,7 @@ class TensorModule(Module):
     """x . (u (x) w) = (x . u) (x) w + u (x) (x . w), both factors over one algebra."""
 
     family = "tensor"
+    vector_type = TensorVector
 
     __slots__ = ("left", "right")
 
@@ -823,25 +756,20 @@ class TensorModule(Module):
     def algebra(self):
         return self.left.algebra()
 
-    def act(self, x: AlgebraElement, v: TensorVector) -> TensorVector:
-        self._check_element(x)
-        out: dict = {}
-        for (lk, rk), c in v.terms.items():
-            lw = self.left.act(x, self.left.basis_vector(lk))
-            for k2, c2 in self.left.components(lw):
-                key = (k2, rk)
-                out[key] = out.get(key, ZERO) + c * c2
-            rw = self.right.act(x, self.right.basis_vector(rk))
-            for k2, c2 in self.right.components(rw):
-                key = (lk, k2)
-                out[key] = out.get(key, ZERO) + c * c2
-        return TensorVector(out)
+    act = Module.act  # own class-dict entry: bench/spans.py wraps it per family
 
-    def zero_vector(self):
-        return TensorVector()
+    def _terms(self, x):
+        # Leibniz: each factor reads x its own way; the key carries the side
+        return [((g, (0, key)), c) for (g, key), c in self.left._terms(x)] + [
+            ((g, (1, key)), c) for (g, key), c in self.right._terms(x)
+        ]
 
-    def basis_vector(self, key):
-        return TensorVector({key: ONE})
+    def _column(self, kind, index, key, pair):
+        side, key = key
+        lk, rk = pair
+        if side == 0:
+            return [((k2, rk), c) for k2, c in self.left._column(kind, index, key, lk)]
+        return [((lk, k2), c) for k2, c in self.right._column(kind, index, key, rk)]
 
     def components(self, v: TensorVector):
         return sorted(v.terms.items(), key=lambda item: str(item[0]))
@@ -865,10 +793,6 @@ class TensorModule(Module):
 # ---------------------------------------------------------------------------
 # descriptors
 # ---------------------------------------------------------------------------
-
-
-def describe(module: Module) -> dict:
-    return module.describe()
 
 
 def _take(data: dict, required, optional, context: str) -> dict:

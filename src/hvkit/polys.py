@@ -181,11 +181,6 @@ class PolyT:
         return f"PolyT({self.render()})"
 
 
-def polyt_shift(f: PolyT, n: int) -> PolyT:
-    """Substitute t -> t - n.  Degree-preserving; shifts compose additively."""
-    return f.shift(n)
-
-
 # ---------------------------------------------------------------------------
 # sparse multivariate polynomials in b_1..b_k
 # ---------------------------------------------------------------------------

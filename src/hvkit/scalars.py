@@ -15,6 +15,9 @@ back as :class:`fractions.Fraction`.
 
 Scalars serialize as strings like ``"3"``, ``"-3/4"``, ``"1/2*i"`` or
 ``"3/4+1/2*i"``; :func:`parse_scalar` accepts the same grammar.
+
+:class:`Combination` is the one sparse linear combination over these
+scalars: algebra elements and module vectors are its subclasses.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import re as _re
 from fractions import Fraction
 from math import gcd
 
-from .errors import ParseError
+from .errors import DimensionMismatchError, ParseError
 
 
 def _rational_parts(value):
@@ -301,3 +304,79 @@ def parse_scalar(text: str) -> Scalar:
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"malformed scalar {text!r}") from exc
     return Scalar(re_part or 0, im_part or 0)
+
+
+class Combination:
+    """Immutable finite linear combination: a dict from keys to nonzero scalars.
+
+    Subclasses say what the keys are.  Two combinations add or compare only
+    when they are of one type and ``_space()`` agrees; ``_like`` builds a
+    sibling in the same space.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        clean = {}
+        for key, c in (terms or {}).items():
+            c = scalar(c)
+            if not c.is_zero:
+                clean[key] = c
+        object.__setattr__(self, "terms", clean)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _space(self):
+        return None
+
+    def _like(self, terms):
+        return type(self)(terms)
+
+    def _check(self, other):
+        if self._space() != other._space():
+            raise DimensionMismatchError("elements live over different coefficient algebras")
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def coeff(self, key) -> Scalar:
+        return self.terms.get(key, ZERO)
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check(other)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            out[key] = out.get(key, ZERO) + c
+        return self._like(out)
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-other)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __mul__(self, other):
+        try:
+            c = scalar(other)
+        except TypeError:
+            return NotImplemented
+        return self._like({k: c * v for k, v in self.terms.items()})
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._space() == other._space() and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self._space(), frozenset(self.terms.items())))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.terms!r})"

@@ -16,7 +16,6 @@ from hvkit.algebra import (
     d,
     element,
     gen_elt,
-    grade_split,
     hv_structure,
     I,
     jacobi_antisymmetry_sweep,
@@ -150,20 +149,20 @@ def test_centrality():
 
 def test_grade_split():
     x = element(P1, {(d(3), (1,)): 1, (I(0), (0,)): 1, (d(-1), (0,)): 1})
-    neg, zero, pos = grade_split(x)
+    neg, zero, pos = x.grade_split()
     assert neg == element(P1, {(d(-1), (0,)): 1})
     assert zero == element(P1, {(I(0), (0,)): 1})
     assert pos == element(P1, {(d(3), (1,)): 1})
     assert neg + zero + pos == x
-    neg, zero, pos = grade_split(gen_elt(HV, C_D))
+    neg, zero, pos = gen_elt(HV, C_D).grade_split()
     assert neg.is_zero and pos.is_zero and zero == gen_elt(HV, C_D)
-    neg, zero, pos = grade_split(zero_element(HV))
+    neg, zero, pos = zero_element(HV).grade_split()
     assert neg.is_zero and zero.is_zero and pos.is_zero
 
 
 @given(elements2())
 def test_grade_split_recombines(x):
-    neg, zero, pos = grade_split(x)
+    neg, zero, pos = x.grade_split()
     assert neg + zero + pos == x
 
 

@@ -364,6 +364,17 @@ def test_annihilator_orders(order):
     assert report.entries[1][1] is False  # m^(s-1) does not
 
 
+def test_annihilator_merges_terms_before_the_truncation():
+    # d(-2) (x) (b-2)^2 on a level-2 vector: each monomial of (b-2)^2 alone would
+    # lower to level 4 > max_level 3, but the jet image of the sum is zero
+    q = q_at(2, 2)
+    phi = HighestWeightFunctional({("d0", (0, (0,))): ONE, ("I0", (0, (1,))): Scalar(3)})
+    E = EvaluationModule(q, TruncatedVerma(phi, QuotientCoefficients((q,)), max_level=3))
+    shifted = PolyB.variable(1, 0) - PolyB.const(1, 2)
+    report = annihilator_probe(E, [shifted * shifted, shifted], window=2, index_bound=2)
+    assert [ann for _p, ann in report.entries] == [True, False]
+
+
 def test_annihilator_unit_on_nontrivial_module():
     E = _eval_spec(1)
     report = annihilator_probe(E, [PolyB.const(1, 1)], window=2)

@@ -129,6 +129,19 @@ def test_annihilator_command():
     assert flags == [True, False]
 
 
+def test_annihilator_on_jet_evaluation_at_the_truncation():
+    inner = dict(VERMA, quotients=[{"point": ["2"], "order": 2}], max_level=3)
+    module = {"family": "evaluation", "point": ["2"], "order": 2, "inner": inner}
+    square = {"terms": [{"exp": [2], "coeff": "1"}, {"exp": [1], "coeff": "-4"}, {"exp": [0], "coeff": "4"}]}
+    linear = {"terms": [{"exp": [1], "coeff": "1"}, {"exp": [0], "coeff": "-2"}]}
+    cfg = {"command": "annihilator", "module": module, "generators": [square, linear],
+           "bounds": {"window": 2, "index": 2}}
+    code, text = run_config(cfg)
+    assert code == 0
+    flags = [g["annihilates"] for g in json.loads(text)["generators"]]
+    assert flags == [True, False]
+
+
 def test_jacobi_sweep_command():
     code, text = run_config({"command": "jacobi-sweep", "bounds": {"index": 2, "monomial": 1, "k": 1}})
     assert code == 0
@@ -263,8 +276,19 @@ def test_integer_descriptor_fields_are_type_checked(tmp_path, capsys, config, di
         ({"command": "jacobi-sweep", "bounds": {"index": 1, "monomial": -1, "k": 2}}, "bounds.monomial: must be >= 0"),
         ({"command": "jacobi-sweep", "bounds": {"index": -1, "monomial": 1, "k": 1}}, "bounds.index: must be >= 0"),
         ({"command": "singular-vectors", "module": VERMA, "bounds": {"level": -1}}, "level must be >= 0"),
+        ({"command": "hc-suite", "module": VERMA, "f": {"terms": [{"exp": [1], "coeff": "1"}]},
+          "bounds": {"level": -2}}, "bounds.level: must be >= 0"),
+        ({"command": "annihilator", "module": OMEGA, "generators": [{"terms": [{"exp": [0], "coeff": "1"}]}],
+          "bounds": {"window": -1}}, "bounds.window: must be >= 0"),
+        ({"command": "annihilator", "module": OMEGA, "generators": [{"terms": [{"exp": [0], "coeff": "1"}]}],
+          "bounds": {"index": -1}}, "bounds.index: must be >= 0"),
+        ({"command": "weights", "module": INTERMEDIATE, "bounds": {"window": -1}}, "bounds.window: must be >= 0"),
+        ({"command": "check-axioms", "module": INTERMEDIATE, "bounds": {"window": -1}}, "bounds.window: must be >= 0"),
+        ({"command": "check-axioms", "module": OMEGA, "bounds": {"index": 1, "monomial": -1, "window": 1}},
+         "bounds.monomial: must be >= 0"),
     ],
-    ids=["jacobi-k", "jacobi-monomial", "jacobi-index", "singular-level"],
+    ids=["jacobi-k", "jacobi-monomial", "jacobi-index", "singular-level", "hc-level", "annihilator-window",
+         "annihilator-index", "weights-window", "axioms-window", "axioms-monomial"],
 )
 def test_negative_bounds_are_rejected(tmp_path, capsys, config, diagnostic):
     with pytest.raises(ConfigurationError, match=re.escape(diagnostic)):

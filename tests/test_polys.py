@@ -13,7 +13,6 @@ from hvkit.polys import (
     jet_expand,
     jets_multiply,
     poly_eval,
-    polyt_shift,
 )
 from hvkit.scalars import ONE, ZERO, Scalar
 
@@ -47,15 +46,15 @@ def test_polyt_degree_of_product_adds():
 
 def test_shift_examples():
     t = PolyT.t_power(1)
-    assert polyt_shift(t, 1) == PolyT((-1, 1))
-    assert polyt_shift(PolyT((0, 0, 1)), -2) == PolyT((4, 4, 1))
-    assert polyt_shift(t, 0) == t
+    assert t.shift(1) == PolyT((-1, 1))
+    assert PolyT((0, 0, 1)).shift(-2) == PolyT((4, 4, 1))
+    assert t.shift(0) == t
 
 
 def test_shift_composes_additively():
     f = PolyT((0, 1, 0, 1))  # t^3 + t
-    lhs = polyt_shift(polyt_shift(f, 2), 3)
-    rhs = polyt_shift(f, 5)
+    lhs = f.shift(2).shift(3)
+    rhs = f.shift(5)
     assert lhs == rhs
     # independent oracle: values agree at interpolation points
     for x in range(-4, 5):
@@ -64,7 +63,7 @@ def test_shift_composes_additively():
 
 @given(polyts, st.integers(min_value=-4, max_value=4))
 def test_shift_matches_pointwise_evaluation(f, n):
-    g = polyt_shift(f, n)
+    g = f.shift(n)
     assert g.degree == f.degree
     for x in range(-3, 4):
         assert g(Scalar(x)) == f(Scalar(x - n))
@@ -72,8 +71,8 @@ def test_shift_matches_pointwise_evaluation(f, n):
 
 @given(polyts, polyts, st.integers(min_value=-3, max_value=3))
 def test_shift_is_ring_automorphism(f, g, n):
-    assert polyt_shift(f * g, n) == polyt_shift(f, n) * polyt_shift(g, n)
-    assert polyt_shift(f + g, n) == polyt_shift(f, n) + polyt_shift(g, n)
+    assert (f * g).shift(n) == f.shift(n) * g.shift(n)
+    assert (f + g).shift(n) == f.shift(n) + g.shift(n)
 
 
 # -- PolyB ------------------------------------------------------------------
