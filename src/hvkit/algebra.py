@@ -141,6 +141,18 @@ class PolynomialCoefficients:
     def keys_upto(self, bound: int) -> list:
         return exponents_upto(self.k, bound)
 
+    def basis_keys(self) -> list:
+        """The one key of C; C[b_1..b_k] with k >= 1 has no finite basis."""
+        if self.k:
+            raise ConfigurationError(f"C[b_1..b_{self.k}] has no finite basis")
+        return [()]
+
+    def project(self, p: PolyB) -> dict:
+        """Image of a polynomial: its own terms."""
+        if p.k != self.k:
+            raise DimensionMismatchError(f"polynomial k={p.k} vs coefficient k={self.k}")
+        return dict(p.terms)
+
     def render_key(self, key) -> str:
         return "" if not any(key) else "b[" + ",".join(str(e) for e in key) + "]"
 

@@ -20,7 +20,6 @@ from .algebra import (
     C_I,
     Generator,
     PolynomialCoefficients,
-    QuotientCoefficients,
     bracket,
     d,
     element,
@@ -28,7 +27,6 @@ from .algebra import (
 )
 from .errors import (
     ConfigurationError,
-    DimensionMismatchError,
     LevelOverflowError,
     UnsupportedModuleError,
 )
@@ -503,17 +501,9 @@ class HcSuiteReport:
         }
 
 
-def _project_poly(coeffs, f: PolyB) -> dict:
-    if isinstance(coeffs, QuotientCoefficients):
-        if f.k != coeffs.k:
-            raise DimensionMismatchError("polynomial k mismatch with quotient")
-        return coeffs.project(f)
-    if isinstance(coeffs, PolynomialCoefficients) and coeffs.k == 0:
-        if f.k != 0:
-            raise DimensionMismatchError("trivial coefficients need k=0 polynomials")
-        c = f.terms.get((), ZERO)
-        return {(): c} if not c.is_zero else {}
-    raise ConfigurationError(f"unsupported coefficient algebra {coeffs!r}")
+def _decorated(coeffs, g: Generator, image: dict) -> AlgebraElement:
+    """g tensored with ``image``, a polynomial pushed through ``coeffs.project``."""
+    return AlgebraElement(coeffs, {(g, key): c for key, c in image.items()})
 
 
 def hc_criterion_suite(module: TruncatedVerma, f: PolyB, singular_depth: int = 4) -> HcSuiteReport:
@@ -524,21 +514,19 @@ def hc_criterion_suite(module: TruncatedVerma, f: PolyB, singular_depth: int = 4
     functional.  When the functional kills the whole zero part tensored
     with the ideal generated by f, the lowering vectors decorated by f land
     in the maximal submodule; when the functional sees d_0 (x) f, the
-    double-d_1 word certifies the d_{-2} (x) f vector escapes it.
+    double-d_1 word certifies the d_{-2} (x) f vector escapes it.  An f
+    whose image in the coefficient algebra is zero is refused with
+    ConfigurationError: every vector it decorates would be zero.
     """
     report = HcSuiteReport()
     coeffs = module.coeffs
-    fim = _project_poly(coeffs, f)
+    fim = coeffs.project(f)
+    if not fim:
+        raise ConfigurationError("f: zero in the coefficient algebra, so it decorates only zero vectors")
     hw = module.highest_weight_vector()
-
-    def decorated(g: Generator) -> AlgebraElement:
-        return AlgebraElement(coeffs, {(g, key): c for key, c in fim.items()})
-
-    def phi_of(g: Generator) -> Scalar:
-        acc = ZERO
-        for key, c in fim.items():
-            acc = acc + c * module.phi.of_generator(g, key)
-        return acc
+    decorated = lambda g: _decorated(coeffs, g, fim)  # noqa: E731
+    zero_part = (d(0), I(0), C, C_D, C_I)
+    phi_f = {g: module.phi.of_element(decorated(g)) for g in zero_part}  # phi(g (x) f)
 
     u = lambda g: unit_element(coeffs, g)  # noqa: E731
     dm2f = module.act(decorated(d(-2)), hw)
@@ -549,27 +537,27 @@ def hc_criterion_suite(module: TruncatedVerma, f: PolyB, singular_depth: int = 4
         (
             "d2.(d-2(x)f)",
             module.act(u(d(2)), dm2f),
-            (Scalar(-4) * phi_of(d(0)) + half * phi_of(C)) * hw,
+            (Scalar(-4) * phi_f[d(0)] + half * phi_f[C]) * hw,
         ),
         (
             "d1.d1.(d-2(x)f)",
             module.act(u(d(1)), module.act(u(d(1)), dm2f)),
-            (6 * phi_of(d(0))) * hw,
+            (6 * phi_f[d(0)]) * hw,
         ),
         (
             "I2.(d-2(x)f)",
             module.act(u(I(2)), dm2f),
-            (Scalar(-2) * phi_of(I(0)) - 2 * phi_of(C_D)) * hw,
+            (Scalar(-2) * phi_f[I(0)] - 2 * phi_f[C_D]) * hw,
         ),
         (
             "d2.(I-2(x)f)",
             module.act(u(d(2)), im2f),
-            (Scalar(-2) * phi_of(I(0)) + 6 * phi_of(C_D)) * hw,
+            (Scalar(-2) * phi_f[I(0)] + 6 * phi_f[C_D]) * hw,
         ),
         (
             "I2.(I-2(x)f)",
             module.act(u(I(2)), im2f),
-            (2 * phi_of(C_I)) * hw,
+            (2 * phi_f[C_I]) * hw,
         ),
     ]
     for name, lhs, rhs in checks:
@@ -577,27 +565,18 @@ def hc_criterion_suite(module: TruncatedVerma, f: PolyB, singular_depth: int = 4
 
     # does the functional kill the zero part tensored with the ideal (f)?
     ideal_span = []
-    basis_keys = (
-        [()] if isinstance(coeffs, PolynomialCoefficients) else coeffs.basis_keys()
-    )
-    for bkey in basis_keys:
+    for bkey in coeffs.basis_keys():
         prod: dict = {}
         for fkey, fc in fim.items():
             for key2, cm in coeffs.multiply(fkey, bkey):
                 prod[key2] = prod.get(key2, ZERO) + (fc if cm == 1 else fc * cm)
         if any(not c.is_zero for c in prod.values()):
             ideal_span.append(prod)
-    kills = True
-    for prod in ideal_span:
-        for slot_gen in (d(0), I(0), C, C_D, C_I):
-            acc = ZERO
-            for key, c in prod.items():
-                acc = acc + c * module.phi.of_generator(slot_gen, key)
-            if not acc.is_zero:
-                kills = False
-                break
-        if not kills:
-            break
+    kills = all(
+        module.phi.of_element(_decorated(coeffs, slot_gen, prod)).is_zero
+        for prod in ideal_span
+        for slot_gen in zero_part
+    )
     report.phi_kills_ideal = kills
 
     depth = min(singular_depth, module.max_level)
@@ -609,13 +588,13 @@ def hc_criterion_suite(module: TruncatedVerma, f: PolyB, singular_depth: int = 4
                     (f"{kind}(-{n})(x)f.hw", True, in_maximal_submodule(module, vec))
                 )
     else:
-        if not phi_of(d(0)).is_zero and module.max_level >= 2:
+        if not phi_f[d(0)].is_zero and module.max_level >= 2:
             report.singular_checks.append(
                 ("d(-2)(x)f.hw", False, in_maximal_submodule(module, dm2f))
             )
         escape_i = (
-            not (Scalar(-2) * phi_of(I(0)) + 6 * phi_of(C_D)).is_zero
-            or not phi_of(C_I).is_zero
+            not (Scalar(-2) * phi_f[I(0)] + 6 * phi_f[C_D]).is_zero
+            or not phi_f[C_I].is_zero
         )
         if escape_i and module.max_level >= 2:
             report.singular_checks.append(
@@ -714,11 +693,10 @@ def annihilator_probe(
     gens += [C, C_D, C_I]
     basis = module.window_basis(window)
     for p in generators:
-        if p.k != coeffs.k:
-            raise DimensionMismatchError("polynomial k mismatch with the module")
+        image = coeffs.project(p)
         ann = True
         for g in gens:
-            x = AlgebraElement(coeffs, {(g, exps): c for exps, c in p.terms.items()})
+            x = _decorated(coeffs, g, image)
             if x.is_zero:
                 continue
             for _label, v in basis:

@@ -592,8 +592,6 @@ class TruncatedVerma(Module):
         return self.coeffs
 
     def coefficient_keys(self) -> list:
-        if isinstance(self.coeffs, PolynomialCoefficients):
-            return [()]
         return self.coeffs.basis_keys()
 
     @staticmethod
@@ -885,12 +883,15 @@ def module_from_descriptor(data: dict) -> Module:
             if slot not in _PHI_SLOTS:
                 raise ConfigurationError(f"{path}: unknown gen {slot!r}")
             exp = int_list_field(entry.get("exp") or [], f"{path}.exp")
+            point = int_field(entry.get("point", 0), f"{path}.point")
             if isinstance(coeffs, PolynomialCoefficients):
-                if any(exp):
+                if exp:
                     raise ConfigurationError(f"{path}: exp must be empty over trivial B")
+                if point:
+                    raise ConfigurationError(f"{path}.point: must be 0 over trivial B")
                 key = ()
             else:
-                key = (int_field(entry.get("point", 0), f"{path}.point"), exp)
+                key = (point, exp)
                 if key not in set(coeffs.basis_keys()):
                     raise ConfigurationError(f"{path}: key {key} outside the quotient basis")
             values[(slot, key)] = parse_scalar(entry["value"])

@@ -6,8 +6,9 @@ Three flavours live here:
   underlying vectors of the rank-one-free module family, where degrees stay
   small, so a dense coefficient list is the right shape.
 * ``PolyB`` -- sparse multivariate polynomials in b_1..b_k, the coefficient
-  algebra B of the map construction.  Terms map exponent tuples to scalars;
-  zero coefficients are never stored.
+  algebra B of the map construction.  A :class:`~hvkit.scalars.Combination`
+  keyed by exponent tuples, so sums, equality and hashing are the shared
+  ones; it adds only the polynomial product and rendering.
 * ``JetQuotient`` -- the finite-dimensional quotient B/m^s at a point, with
   basis the monomials (b - mu)^r of total degree < s.  Order 1 reproduces
   plain evaluation at the point; :func:`jet_expand` is the quotient map.
@@ -21,7 +22,7 @@ import itertools
 from math import comb
 
 from .errors import ConfigurationError, DimensionMismatchError
-from .scalars import ONE, ZERO, Scalar, render_scalar, scalar
+from .scalars import ONE, ZERO, Combination, Scalar, render_scalar, scalar
 
 MonomialExp = tuple[int, ...]
 PointB = tuple[Scalar, ...]
@@ -186,10 +187,10 @@ class PolyT:
 # ---------------------------------------------------------------------------
 
 
-class PolyB:
-    """Element of B = C[b_1..b_k] as a sparse exponent-to-scalar map."""
+class PolyB(Combination):
+    """Element of B = C[b_1..b_k]: a :class:`Combination` keyed by exponent tuples."""
 
-    __slots__ = ("k", "terms")
+    __slots__ = ("k",)
 
     def __init__(self, k: int, terms=None):
         clean = {}
@@ -197,14 +198,15 @@ class PolyB:
             exps = tuple(int(e) for e in exps)
             if len(exps) != k or any(e < 0 for e in exps):
                 raise DimensionMismatchError(f"exponent {exps} invalid for k={k}")
-            c = scalar(c)
-            if not c.is_zero:
-                clean[exps] = clean.get(exps, ZERO) + c
+            clean[exps] = clean.get(exps, ZERO) + scalar(c)
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "terms", {e: c for e, c in clean.items() if not c.is_zero})
+        Combination.__init__(self, clean)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyB is immutable")
+    def _space(self):
+        return self.k
+
+    def _like(self, terms):
+        return PolyB(self.k, terms)
 
     @classmethod
     def zero(cls, k: int):
@@ -225,33 +227,8 @@ class PolyB:
     def monomial(cls, exps: MonomialExp, coeff=ONE):
         return cls(len(exps), {tuple(exps): scalar(coeff)})
 
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=-1)
-
-    def _check(self, other: "PolyB"):
-        if self.k != other.k:
-            raise DimensionMismatchError(f"k mismatch: {self.k} vs {other.k}")
-
-    def __add__(self, other):
-        if not isinstance(other, PolyB):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, ZERO) + c
-        return PolyB(self.k, out)
-
-    def __sub__(self, other):
-        if not isinstance(other, PolyB):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return PolyB(self.k, {e: -c for e, c in self.terms.items()})
+    # own class-dict entry: bench/spans.py wraps PolyB.__add__ by name
+    __add__ = Combination.__add__
 
     def __mul__(self, other):
         if isinstance(other, PolyB):
@@ -262,21 +239,9 @@ class PolyB:
                     e = tuple(a + b for a, b in zip(e1, e2))
                     out[e] = out.get(e, ZERO) + c1 * c2
             return PolyB(self.k, out)
-        try:
-            c = scalar(other)
-        except TypeError:
-            return NotImplemented
-        return PolyB(self.k, {e: c * v for e, v in self.terms.items()})
+        return Combination.__mul__(self, other)
 
     __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, PolyB):
-            return NotImplemented
-        return self.k == other.k and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.k, frozenset(self.terms.items())))
 
     def render(self) -> str:
         if not self.terms:

@@ -17,7 +17,8 @@ Scalars serialize as strings like ``"3"``, ``"-3/4"``, ``"1/2*i"`` or
 ``"3/4+1/2*i"``; :func:`parse_scalar` accepts the same grammar.
 
 :class:`Combination` is the one sparse linear combination over these
-scalars: algebra elements and module vectors are its subclasses.
+scalars: algebra elements, module vectors and the polynomials ``PolyB`` are
+its subclasses.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ from hvkit.analysis import (
     singular_vectors,
     weight_table,
 )
-from hvkit.errors import UnsupportedModuleError
+from hvkit.errors import ConfigurationError, UnsupportedModuleError
 from hvkit.linalg import nullspace, rank
 from hvkit.modules import (
     EvaluationModule,
@@ -298,6 +298,16 @@ def test_hc_trivial_coefficients():
     M = TruncatedVerma(phi, PolynomialCoefficients(0), max_level=4)
     report = hc_criterion_suite(M, PolyB.const(0, 1))
     assert report.phi_kills_ideal and report.passed
+
+
+def test_hc_rejects_f_that_is_zero_in_the_coefficient_algebra():
+    M = _mk_verma({("d0", (0, (0,))): ONE}, order=2, max_level=3)
+    with pytest.raises(ConfigurationError, match="f: zero in the coefficient algebra"):
+        hc_criterion_suite(M, PolyB.monomial((2,)))
+    with pytest.raises(ConfigurationError, match="f: zero in the coefficient algebra"):
+        hc_criterion_suite(M, PolyB.zero(1))
+    # b1 survives in C[b]/(b^2), so the same module still runs the suite
+    assert hc_criterion_suite(M, PolyB.variable(1, 0)).passed
 
 
 # -- rank-one invariants -----------------------------------------------------

@@ -302,6 +302,46 @@ def test_negative_bounds_are_rejected(tmp_path, capsys, config, diagnostic):
     assert captured.err.count("\n") == 1
 
 
+TRIVIAL_VERMA = {"family": "verma", "max_level": 3, "phi": [{"gen": "d0", "value": "1"}]}
+JET_B2_VERMA = {
+    "family": "verma",
+    "quotients": [{"point": ["0"], "order": 2}],
+    "max_level": 3,
+    "phi": [{"gen": "d0", "point": 0, "exp": [0], "value": "1"}],
+}
+
+
+@pytest.mark.parametrize(
+    "config, diagnostic",
+    [
+        ({"command": "hc-suite", "module": VERMA, "f": {"terms": [], "k": 1}}, "f: zero in the coefficient algebra"),
+        ({"command": "hc-suite", "module": JET_B2_VERMA, "f": {"terms": [{"exp": [2], "coeff": "1"}]}},
+         "f: zero in the coefficient algebra"),
+        ({"command": "weights", "module": dict(TRIVIAL_VERMA, phi=[{"gen": "d0", "value": "1", "exp": [0, 0]}])},
+         "verma.phi[0]: exp must be empty over trivial B"),
+        ({"command": "weights", "module": dict(TRIVIAL_VERMA, phi=[{"gen": "d0", "value": "1", "point": 3}])},
+         "verma.phi[0].point: must be 0 over trivial B"),
+    ],
+    ids=["hc-zero-f", "hc-f-in-the-ideal", "trivial-phi-zero-exp", "trivial-phi-point"],
+)
+def test_inputs_that_would_check_nothing_or_be_dropped_are_rejected(tmp_path, capsys, config, diagnostic):
+    with pytest.raises(ConfigurationError, match=re.escape(diagnostic)):
+        run_config(config)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {diagnostic}")
+    assert captured.err.count("\n") == 1
+
+
+def test_trivial_phi_entry_with_point_zero_and_empty_exp_round_trips():
+    entry = {"gen": "d0", "value": "1", "point": 0, "exp": []}
+    described = module_from_descriptor(dict(TRIVIAL_VERMA, phi=[entry])).describe()
+    assert described["phi"] == [entry]
+
+
 def test_singular_vectors_level_zero_and_overflow():
     code, text = run_config({"command": "singular-vectors", "module": VERMA, "bounds": {"level": 0}})
     assert code == 0
