@@ -6,7 +6,8 @@ byte-identical across repeated runs of the same config.  The exit status
 makes the tool usable as a test oracle: 0 when the command's verification
 passed (or a report was produced), 1 when a verification failed, 2 for
 config errors, which also print a single-line diagnostic naming the
-offending field.
+offending field, and 3 for an internal error (a crash inside hvkit), which
+prints one ``internal error: <Type>: <message>`` line.
 
 Commands: check-axioms, weights, probe-irreducible, singular-vectors,
 hc-suite, invariants, annihilator, jacobi-sweep.
@@ -295,6 +296,10 @@ def main(argv=None) -> int:
     except HvkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a defect in hvkit, not a verdict on the input
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 3
     sys.stdout.write(text)
     return code
 

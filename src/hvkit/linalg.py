@@ -1,15 +1,28 @@
 """Exact linear algebra over the Gaussian-rational scalars.
 
-One sparse eliminator: rows are ``{column: Scalar}`` dicts, zero entries are
-never stored, and each incoming row is reduced against the pivot rows found
-so far before it becomes a pivot row itself (with back-elimination), so the
-result is the reduced row echelon form.  Rank and kernel decisions are never
-numerical.  ``row_reduce``, ``rank`` and ``nullspace`` are dense-list
-adapters over it.
+One sparse eliminator, ``sparse_rref``: rows are ``{column: Scalar}`` dicts,
+zero entries are never stored, and each incoming row is reduced against the
+pivot rows found so far before it becomes a pivot row itself (with
+back-elimination), so the result is the reduced row echelon form.  Rank and
+kernel decisions are never numerical.
+
+Inside the eliminator a row is a pair ``(nums, den)``: integer numerators
+over one positive row denominator, the entry in column c being
+``nums[c]/den``.  The numerators are plain ints when every input entry is
+real and ``(re, im)`` int pairs (Gaussian integers) as soon as one entry is
+not; one scan of the input decides.  A row is converted from its Scalars once
+on entry, by the least common multiple of their denominators, and back to
+canonical Scalars once on exit, so no Scalar operation runs inside a row
+reduction.  Every row operation ends with one ``gcd`` that keeps the row
+primitive (numerators and denominator coprime), and a pivot row is scaled so
+that its pivot reads 1, i.e. its pivot numerator equals its denominator.
+
+``row_reduce``, ``rank`` and ``nullspace`` are dense-list adapters over it.
 """
 
 from __future__ import annotations
 
+from math import gcd, lcm
 from typing import Iterable
 
 from .scalars import ONE, ZERO, Scalar
@@ -17,18 +30,129 @@ from .scalars import ONE, ZERO, Scalar
 SparseRow = dict  # column -> nonzero Scalar
 
 
-def _axpy(row: SparseRow, f: Scalar, pivot_row: SparseRow) -> None:
-    """row -= f * pivot_row, in place, dropping entries that cancel."""
-    for c, v in pivot_row.items():
-        x = row.get(c)
-        if x is None:
-            row[c] = -(f * v)
-        else:
-            x = x - f * v
-            if x.is_zero:
-                del row[c]
+# -- real rows: nums[c] is an int ------------------------------------------------
+
+
+def _primitive_real(row: dict, den: int):
+    if den != 1:
+        g = gcd(den, *row.values())
+        if g != 1:
+            return {c: v // g for c, v in row.items()}, den // g
+    return row, den
+
+
+def _reduce_real(row: dict, den: int, pivots: list):
+    """row/den minus (row[p]/den) * prow/pden for each (p, prow, pden), primitive.
+
+    Each prow reads 1 at its own p and 0 at the others, so every factor is
+    read from the incoming row and all of them are subtracted at once, over
+    one common denominator.
+    """
+    terms = []
+    scale = 1
+    for p, prow, pden in pivots:
+        g = gcd(row[p], pden)
+        terms.append((row[p] // g, pden // g, prow))
+        scale = lcm(scale, pden // g)
+    out = {c: v * scale for c, v in row.items()}
+    for f, s, prow in terms:
+        f *= scale // s
+        for c, v in prow.items():
+            x = out.get(c, 0) - f * v
+            if x:
+                out[c] = x
             else:
-                row[c] = x
+                del out[c]
+    return _primitive_real(out, den * scale)
+
+
+def _normalise_real(row: dict, p: int):
+    """The row scaled so that column p reads 1: the row over row[p]."""
+    if row[p] < 0:
+        row = {c: -v for c, v in row.items()}
+    return _primitive_real(row, row[p])
+
+
+# -- Gaussian rows: nums[c] is a pair (re, im) ------------------------------------
+
+
+def _primitive_gauss(row: dict, den: int):
+    if den != 1:
+        g = gcd(den, *[x for ab in row.values() for x in ab])
+        if g != 1:
+            return {c: (a // g, b // g) for c, (a, b) in row.items()}, den // g
+    return row, den
+
+
+def _reduce_gauss(row: dict, den: int, pivots: list):
+    """As ``_reduce_real``, on Gaussian-integer numerators."""
+    terms = []
+    scale = 1
+    for p, prow, pden in pivots:
+        fr, fi = row[p]
+        g = gcd(fr, fi, pden)
+        terms.append((fr // g, fi // g, pden // g, prow))
+        scale = lcm(scale, pden // g)
+    out = {c: (a * scale, b * scale) for c, (a, b) in row.items()}
+    for fr, fi, s, prow in terms:
+        fr *= scale // s
+        fi *= scale // s
+        for c, (x, y) in prow.items():
+            a, b = out.get(c, (0, 0))
+            a -= fr * x - fi * y
+            b -= fr * y + fi * x
+            if a or b:
+                out[c] = (a, b)
+            else:
+                del out[c]
+    return _primitive_gauss(out, den * scale)
+
+
+def _normalise_gauss(row: dict, p: int):
+    """The row scaled so that column p reads 1: times conj(row[p]) over |row[p]|^2."""
+    pr, pi = row[p]
+    row = {c: (a * pr + b * pi, b * pr - a * pi) for c, (a, b) in row.items()}
+    return _primitive_gauss(row, pr * pr + pi * pi)
+
+
+# -- the eliminator ---------------------------------------------------------------
+
+
+def _integer_rows(rows: Iterable[SparseRow]):
+    """Each row as (numerators, denominator), and whether any entry is not real."""
+    triples = [t for t in ({c: v.triple for c, v in src.items() if v} for src in rows) if t]
+    gaussian = any(b for t in triples for _a, b, _d in t.values())
+    out = []
+    for t in triples:
+        den = lcm(*[d for _a, _b, d in t.values()])
+        if gaussian:
+            out.append(({c: (a * (den // d), b * (den // d)) for c, (a, b, d) in t.items()}, den))
+        else:
+            out.append(({c: a * (den // d) for c, (a, _b, d) in t.items()}, den))
+    return out, gaussian
+
+
+def _eliminate(int_rows: list, gaussian: bool) -> dict:
+    """The reduced pivot rows ``{pivot column: (nums, den)}`` of integer rows."""
+    if gaussian:
+        reduce, normalise = _reduce_gauss, _normalise_gauss
+    else:
+        reduce, normalise = _reduce_real, _normalise_real
+    pivots: dict = {}
+    for row, den in int_rows:
+        hits = [(c, *pivots[c]) for c in row if c in pivots]
+        if hits:
+            row, den = reduce(row, den, hits)
+        if not row:
+            continue
+        p = min(row)
+        row, den = normalise(row, p)
+        # back-eliminate; pivot rows stay free of every other pivot column
+        for pc, (prow, pden) in pivots.items():
+            if p in prow:
+                pivots[pc] = reduce(prow, pden, [(p, row, den)])
+        pivots[p] = (row, den)
+    return pivots
 
 
 def sparse_rref(rows: Iterable[SparseRow]) -> list[tuple[int, SparseRow]]:
@@ -38,24 +162,12 @@ def sparse_rref(rows: Iterable[SparseRow]) -> list[tuple[int, SparseRow]]:
     column; each pivot entry is 1 and every other pivot column is zero in
     the row.  The input rows are not modified.
     """
-    pivots: dict[int, SparseRow] = {}
-    for src in rows:
-        row = {c: v for c, v in src.items() if not v.is_zero}
-        for pc in [c for c in row if c in pivots]:
-            _axpy(row, row[pc], pivots[pc])
-        if not row:
-            continue
-        p = min(row)
-        inv = ONE / row[p]
-        if inv != ONE:
-            row = {c: v * inv for c, v in row.items()}
-        # back-eliminate; pivot rows stay free of every other pivot column
-        for prow in pivots.values():
-            f = prow.get(p)
-            if f is not None:
-                _axpy(prow, f, row)
-        pivots[p] = row
-    return sorted(pivots.items())
+    int_rows, gaussian = _integer_rows(rows)
+    pivots = sorted(_eliminate(int_rows, gaussian).items())
+    make = Scalar.from_triple
+    if gaussian:
+        return [(p, {c: make(a, b, den) for c, (a, b) in row.items()}) for p, (row, den) in pivots]
+    return [(p, {c: make(v, 0, den) for c, v in row.items()}) for p, (row, den) in pivots]
 
 
 def sparse_kernel(reduced: list[tuple[int, SparseRow]], ncols: int) -> list[SparseRow]:

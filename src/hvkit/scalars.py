@@ -73,6 +73,16 @@ class Scalar:
     def im(self) -> Fraction:
         return Fraction(self._b, self._d)
 
+    @property
+    def triple(self) -> tuple:
+        """The canonical integer triple ``(a, b, d)`` of ``(a + b*i)/d``."""
+        return self._a, self._b, self._d
+
+    @staticmethod
+    def from_triple(a: int, b: int, d: int) -> "Scalar":
+        """The Scalar ``(a + b*i)/d`` for integers a, b and d != 0, made canonical."""
+        return _make(a, b, d)
+
     # -- predicates ---------------------------------------------------------
 
     def __bool__(self):

@@ -348,3 +348,32 @@ def test_singular_vectors_level_zero_and_overflow():
     assert json.loads(text)["vectors"] == []
     with pytest.raises(LevelOverflowError):
         run_config({"command": "singular-vectors", "module": VERMA, "bounds": {"level": 5}})
+
+
+DEEP_VERMA = {"family": "verma", "max_level": 1200, "phi": [{"gen": "d0", "exp": [], "value": "1"}]}
+
+
+def _assert_internal_error(captured, type_name):
+    assert captured.out == ""
+    assert captured.err.startswith(f"internal error: {type_name}: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_a_crash_exits_3_not_the_verification_failed_code(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"command": "singular-vectors", "module": DEEP_VERMA, "bounds": {"level": 1200}}))
+    assert main(["--config", str(path)]) == 3
+    _assert_internal_error(capsys.readouterr(), "RecursionError")
+
+
+def test_any_unexpected_exception_exits_3(tmp_path, capsys, monkeypatch):
+    def broken(config, out_format="json", seed=None):
+        raise RuntimeError("two\nlines")
+
+    monkeypatch.setattr("hvkit.cli.run_config", broken)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"command": "invariants", "module": OMEGA}))
+    assert main(["--config", str(path)]) == 3
+    captured = capsys.readouterr()
+    _assert_internal_error(captured, "RuntimeError")
+    assert captured.err == "internal error: RuntimeError: two lines\n"
