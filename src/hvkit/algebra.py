@@ -387,17 +387,16 @@ class JacobiSweepReport:
         )
 
 
-def _sweep_generators(index_bound: int) -> list:
-    gens = [("d", n) for n in range(-index_bound, index_bound + 1)]
-    gens += [("I", n) for n in range(-index_bound, index_bound + 1)]
-    gens += [(kind, 0) for kind in _CENTRAL_KINDS]
-    return gens
+def generators_upto(index_bound: int) -> list:
+    """d_n, then I_n, for |n| <= index_bound, then C, C_D, C_I: the sweep order."""
+    span = range(-index_bound, index_bound + 1)
+    return [d(n) for n in span] + [I(n) for n in span] + [C, C_D, C_I]
 
 
 def sweep_terms(index_bound: int, monomial_bound: int, k: int) -> list:
     """All decorated generators (kind, index, exponents) within the bounds."""
     monos = exponents_upto(k, monomial_bound)
-    return [(kind, n, m) for (kind, n) in _sweep_generators(index_bound) for m in monos]
+    return [(kind, n, m) for (kind, n) in generators_upto(index_bound) for m in monos]
 
 
 def _interner(initial):
@@ -467,7 +466,7 @@ def jacobi_antisymmetry_sweep(
     ``{(kind, index, exponents): coefficient}``.
     """
     report = JacobiSweepReport(index_bound, monomial_bound, k)
-    gens = _sweep_generators(index_bound)
+    gens = generators_upto(index_bound)
     monos = exponents_upto(k, monomial_bound)
     terms = [(kind, n, m) for (kind, n) in gens for m in monos]
     nterms = len(terms)

@@ -2,7 +2,10 @@
 
 Everything here is a bounded, exact check: axiom sweeps replay the bracket
 against double actions, probes hunt for invariant subspaces inside a finite
-window, and singular vectors come out of exact elimination, level by level.  A
+window, and one level builder (``_reduced_levels``) yields the maximal
+submodule of a Verma module level by level, which singular slices and the
+PBW-order spot-check both read.  Operators come from one generator list
+(``algebra.generators_upto``) and one constructor (``_decorated``).  A
 reducibility witness is conclusive; a "window-irreducible" verdict is a
 bounded-scope certificate, never a proof.
 """
@@ -22,7 +25,7 @@ from .algebra import (
     PolynomialCoefficients,
     bracket,
     d,
-    element,
+    generators_upto,
     I,
 )
 from .errors import (
@@ -60,22 +63,24 @@ class WeightTuple(NamedTuple):
         return tuple(x.sort_key() for x in self)
 
 
+def _decorated(coeffs, g: Generator, image: dict) -> AlgebraElement:
+    """g tensored with ``image`` ({key: scalar}, as ``coeffs.project`` gives)."""
+    return AlgebraElement(coeffs, {(g, key): c for key, c in image.items()})
+
+
 def unit_element(coeffs, g: Generator) -> AlgebraElement:
     """g tensored with the unit of the coefficient algebra."""
-    return element(coeffs, {(g, key): c for key, c in coeffs.unit_keys()})
+    return _decorated(coeffs, g, dict(coeffs.unit_keys()))
 
 
 def algebra_generator_elements(coeffs, index_bound: int, monomial_bound: int) -> list:
     """Single-term homogeneous elements within the sweep bounds.
 
-    All d_n, I_n with |n| <= index_bound plus the three central kinds, each
-    decorated by every coefficient key of total degree <= monomial_bound.
+    Every generator of ``generators_upto(index_bound)``, each decorated by
+    every coefficient key of total degree <= monomial_bound.
     """
-    gens = [d(n) for n in range(-index_bound, index_bound + 1)]
-    gens += [I(n) for n in range(-index_bound, index_bound + 1)]
-    gens += [C, C_D, C_I]
     keys = coeffs.keys_upto(monomial_bound)
-    return [AlgebraElement(coeffs, {(g, key): ONE}) for g in gens for key in keys]
+    return [_decorated(coeffs, g, {key: ONE}) for g in generators_upto(index_bound) for key in keys]
 
 
 # ---------------------------------------------------------------------------
@@ -245,16 +250,16 @@ class WindowReport:
 
 def _line_probe(module: Module, window: int, operator_bound: int) -> WindowReport:
     coeffs = module.algebra()
-    shifts = [i for i in range(-operator_bound, operator_bound + 1) if i != 0]
-    ops = [unit_element(coeffs, d(i)) for i in shifts]
-    ops += [unit_element(coeffs, I(i)) for i in shifts]
+    # (shift, operator): d_i then I_i for each nonzero |i| <= operator_bound
+    ops = [
+        (i, unit_element(coeffs, g(i)))
+        for i in range(-operator_bound, operator_bound + 1)
+        if i != 0
+        for g in (d, I)
+    ]
     lines = [label for label, _v in module.window_basis(window)]
 
-    dead = []
-    for k in lines:
-        vk = module.basis_vector(k)
-        if all(module.act(op, vk).is_zero for op in ops):
-            dead.append(k)
+    dead = [k for k in lines if all(module.act(op, module.basis_vector(k)).is_zero for _i, op in ops)]
     if dead:
         return WindowReport(
             window,
@@ -263,24 +268,11 @@ def _line_probe(module: Module, window: int, operator_bound: int) -> WindowRepor
             {"kind": "lines", "lines": sorted(dead)},
         )
 
-    unreachable = []
-    op_by_shift = {}
-    for i in shifts:
-        op_by_shift[("d", i)] = unit_element(coeffs, d(i))
-        op_by_shift[("I", i)] = unit_element(coeffs, I(i))
-    for k0 in lines:
-        hit = False
-        for i in shifts:
-            source = module.basis_vector(k0 - i)
-            for kind in ("d", "I"):
-                w = module.act(op_by_shift[(kind, i)], source)
-                if not w.coeff(k0).is_zero:
-                    hit = True
-                    break
-            if hit:
-                break
-        if not hit:
-            unreachable.append(k0)
+    unreachable = [
+        k0
+        for k0 in lines
+        if all(module.act(op, module.basis_vector(k0 - i)).coeff(k0).is_zero for i, op in ops)
+    ]
     if unreachable:
         return WindowReport(
             window,
@@ -293,21 +285,18 @@ def _line_probe(module: Module, window: int, operator_bound: int) -> WindowRepor
 
 def _omega_probe(module: OmegaModule, window: int, operator_bound: int) -> WindowReport:
     coeffs = module.algebra()
-    keys = coeffs.keys_upto(1)
-    gens = [d(i) for i in range(-operator_bound, operator_bound + 1)]
-    gens += [I(i) for i in range(-operator_bound, operator_bound + 1)]
-    ops = [AlgebraElement(coeffs, {(g, key): ONE}) for g in gens for key in keys]
+    ops = [
+        _decorated(coeffs, g, {key: ONE})
+        for g in generators_upto(operator_bound)
+        if not g.is_central_kind
+        for key in coeffs.keys_upto(1)
+    ]
     # the degree-shifted subspace t*C[t]: closed iff no action reintroduces constants
-    closed = True
-    for j in range(1, window + 1):
-        tj = PolyT.t_power(j)
-        for op in ops:
-            if not module.act(op, tj).coeff(0).is_zero:
-                closed = False
-                break
-        if not closed:
-            break
-    if closed:
+    if all(
+        module.act(op, tj).coeff(0).is_zero
+        for tj in map(PolyT.t_power, range(1, window + 1))
+        for op in ops
+    ):
         return WindowReport(
             window,
             operator_bound,
@@ -355,73 +344,58 @@ def _raising_factors(module: TruncatedVerma, level: int, raising: str) -> list:
     return [(kind, idx, key) for (kind, idx) in gens for key in keys]
 
 
+def _factor_elements(coeffs, factors: list) -> dict:
+    """Each (kind, index, key) factor as its single-term element."""
+    return {fac: _decorated(coeffs, Generator(fac[0], fac[1]), {fac[2]: ONE}) for fac in factors}
+
+
 def _raising_words(factors: list, degree: int) -> list:
     """All ordered words over the factors with index degrees summing to `degree`."""
-    out: list = []
-
-    def rec(remaining, acc):
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        for fac in factors:
-            if fac[1] <= remaining:
-                acc.append(fac)
-                rec(remaining - fac[1], acc)
-                acc.pop()
-
-    rec(degree, [])
-    return out
+    if degree == 0:
+        return [()]
+    return [
+        (fac,) + rest
+        for fac in factors
+        if fac[1] <= degree
+        for rest in _raising_words(factors, degree - fac[1])
+    ]
 
 
-def singular_vectors(module: TruncatedVerma, level: int, raising: str = "generators") -> list:
-    """Basis of the maximal-submodule slice at the given level.
+def _reduced_levels(module: TruncatedVerma, level: int, raising: str):
+    """Yield R_0, R_1, ..., R_level: the level builder of the maximal submodule.
 
     The maximal proper submodule M is built up the levels: M_0 = 0, and a
     level-m vector v lies in M_m exactly when e.v lies in M_{m - deg e} for
-    every raising factor e.  Each level m below the target is kept as R_m,
-    the nonzero rows of a reduced row echelon form whose kernel is M_m, so
-    applying R_m to a level-m vector gives its coordinates in V_m / M_m.
-    The rows at level m are the quotient coordinates of e.u, one factor e
-    acting once on each basis monomial u; their exact elimination gives R_m.
-    At the target level the kernel comes back as the free-column basis of
-    the reduced rows, in ``level_monomials`` order.
-
-    The restricted raising set {d_1, d_2, I_1} (decorated by the
-    coefficient basis) suffices because it generates the whole positive
-    part; the "full" mode (d_i, I_i for i <= level) exists to
-    cross-validate exactly that.
+    every raising factor e.  R_m is the nonzero rows of a reduced row echelon
+    form whose kernel is M_m, so applying R_m to a level-m vector (in
+    ``level_monomials`` coordinates) gives its coordinates in V_m / M_m, and
+    dim M_m = dim V_m - len(R_m).  The rows at level m are the quotient
+    coordinates of e.u, one factor e acting once on each basis monomial u;
+    their exact elimination gives R_m.  This is the package's one call site
+    of ``sparse_rref``, one call per level m >= 1.
     """
-    monos = module.level_monomials(level)
-    if level < 0:
-        raise ConfigurationError(f"level must be >= 0, got {level}")
-    factors = _raising_factors(module, level, raising)
-    single_ops = {
-        fac: AlgebraElement(module.coeffs, {(Generator(fac[0], fac[1]), fac[2]): ONE})
-        for fac in factors
-    }
+    ops = _factor_elements(module.coeffs, _raising_factors(module, level, raising))
     # quotient coordinates by level: coords[m][mono] = {row of R_m: coefficient}
     coords: list = []
     reduced = [(0, {0: ONE})]  # R_0: M_0 = 0, the coordinate is the hw coefficient
+    yield reduced
     for m in range(1, level + 1):
         coords.append(_quotient_coordinates(reduced, module.level_monomials(m - 1)))
         rows: list = []
-        for fac in factors:
+        for fac, op in ops.items():
             if fac[1] > m:
                 continue
             below = coords[m - fac[1]]
             fac_rows: dict = {}
             for j, mono in enumerate(module.level_monomials(m)):
-                image = module.act(single_ops[fac], PBWVector({mono: ONE}))
+                image = module.act(op, PBWVector({mono: ONE}))
                 for m2, c in image.terms.items():
                     for i, rc in below.get(m2, {}).items():
                         row = fac_rows.setdefault(i, {})
                         row[j] = row.get(j, ZERO) + c * rc
             rows.extend(fac_rows.values())
         reduced = sparse_rref(rows)
-    return [
-        PBWVector({monos[j]: c for j, c in vec.items()})
-        for vec in sparse_kernel(reduced, len(monos))
-    ]
+        yield reduced
 
 
 def _quotient_coordinates(reduced: list, monos: list) -> dict:
@@ -433,35 +407,50 @@ def _quotient_coordinates(reduced: list, monos: list) -> dict:
     return out
 
 
+def singular_vectors(module: TruncatedVerma, level: int, raising: str = "generators") -> list:
+    """Basis of the maximal-submodule slice M_level: the kernel of R_level.
+
+    R_level is the last item of the level builder ``_reduced_levels``; the
+    kernel comes back as the free-column basis of its rows, in
+    ``level_monomials`` order.  A negative level is refused with
+    ConfigurationError before anything is listed.
+
+    The restricted raising set {d_1, d_2, I_1} (decorated by the
+    coefficient basis) suffices because it generates the whole positive
+    part; the "full" mode (d_i, I_i for i <= level) exists to
+    cross-validate exactly that.
+    """
+    monos = module.level_monomials(level)
+    for reduced in _reduced_levels(module, level, raising):
+        pass
+    return [
+        PBWVector({monos[j]: c for j, c in vec.items()})
+        for vec in sparse_kernel(reduced, len(monos))
+    ]
+
+
 def in_maximal_submodule(module: TruncatedVerma, v: PBWVector) -> bool:
     """Membership test for the maximal proper submodule.
 
     Recursively: a vector lies in it iff each restricted raising generator
     maps it into the maximal submodule one or two levels down, with the
-    level-0 slice being zero.  The same recursion as ``singular_vectors``,
-    but walked over the reachable cone of the given vector.
+    level-0 slice being zero.  The same recursion as the level builder, but
+    walked over the reachable cone of the given vector.
     """
     by_level: dict[int, dict] = {}
     for mono, c in v.terms.items():
         lvl = TruncatedVerma.level_of(mono)
         by_level.setdefault(lvl, {})[mono] = c
-    factors = _raising_factors(module, 2, "generators")
-    single_ops = {
-        fac: AlgebraElement(module.coeffs, {(Generator(fac[0], fac[1]), fac[2]): ONE})
-        for fac in factors
-    }
+    ops = _factor_elements(module.coeffs, _raising_factors(module, 2, "generators"))
 
     def rec(vec: PBWVector, level: int) -> bool:
         if vec.is_zero:
             return True
         if level == 0:
             return False
-        for fac in factors:
-            if fac[1] > level:
-                continue
-            if not rec(module.act(single_ops[fac], vec), level - fac[1]):
-                return False
-        return True
+        return all(
+            rec(module.act(op, vec), level - fac[1]) for fac, op in ops.items() if fac[1] <= level
+        )
 
     return all(rec(PBWVector(part), lvl) for lvl, part in by_level.items())
 
@@ -499,11 +488,6 @@ class HcSuiteReport:
             ],
             "passed": self.passed,
         }
-
-
-def _decorated(coeffs, g: Generator, image: dict) -> AlgebraElement:
-    """g tensored with ``image``, a polynomial pushed through ``coeffs.project``."""
-    return AlgebraElement(coeffs, {(g, key): c for key, c in image.items()})
 
 
 def hc_criterion_suite(module: TruncatedVerma, f: PolyB, singular_depth: int = 4) -> HcSuiteReport:
@@ -622,7 +606,7 @@ def omega_invariants(module: Module):
     if not isinstance(module.zero_vector(), PolyT):
         raise UnsupportedModuleError("rank-one invariants need a module on C[t] (the omega family)")
     one = PolyT.one()
-    g1 = module.act(AlgebraElement(coeffs, {(d(1), (0,) * coeffs.k): ONE}), one)
+    g1 = module.act(unit_element(coeffs, d(1)), one)
     if g1.degree != 1:
         raise UnsupportedModuleError("acting by d_1 on 1 is not degree one; not a rank-one free action")
     lam = g1.coeff(1)
@@ -630,7 +614,7 @@ def omega_invariants(module: Module):
     mu = []
     for i in range(coeffs.k):
         exps = tuple(1 if j == i else 0 for j in range(coeffs.k))
-        gi = module.act(AlgebraElement(coeffs, {(d(1), exps): ONE}), one)
+        gi = module.act(_decorated(coeffs, d(1), {exps: ONE}), one)
         if gi.is_zero:
             mu.append(ZERO)
             continue
@@ -688,23 +672,11 @@ def annihilator_probe(
     if not isinstance(coeffs, PolynomialCoefficients):
         raise UnsupportedModuleError("annihilator probes run over the polynomial map algebra")
     report = AnnihilatorReport(window, index_bound)
-    gens = [d(n) for n in range(-index_bound, index_bound + 1)]
-    gens += [I(n) for n in range(-index_bound, index_bound + 1)]
-    gens += [C, C_D, C_I]
     basis = module.window_basis(window)
     for p in generators:
         image = coeffs.project(p)
-        ann = True
-        for g in gens:
-            x = _decorated(coeffs, g, image)
-            if x.is_zero:
-                continue
-            for _label, v in basis:
-                if not module.act(x, v).is_zero:
-                    ann = False
-                    break
-            if not ann:
-                break
+        ops = [_decorated(coeffs, g, image) for g in generators_upto(index_bound)]
+        ann = all(module.act(x, v).is_zero for x in ops if not x.is_zero for _label, v in basis)
         report.entries.append((p.render(), ann))
     return report
 
@@ -763,12 +735,15 @@ def pbw_order_spotcheck(
         structure=alternative_structure or module.structure,
     )
     report = PbwSpotcheckReport()
-    for level in range(level_bound + 1):
-        da = module.level_dimension(level)
-        db = alt.level_dimension(level)
-        sa = len(singular_vectors(module, level))
-        sb = len(singular_vectors(alt, level))
-        report.rows.append((level, da, db, sa, sb))
+    # one pass of the level builder per handle: dim M_m = dim V_m - len(R_m)
+    sing = [
+        [h.level_dimension(m) - len(r) for m, r in enumerate(_reduced_levels(h, level_bound, "generators"))]
+        for h in (module, alt)
+    ]
+    report.rows = [
+        (m, module.level_dimension(m), alt.level_dimension(m), sa, sb)
+        for m, sa, sb in zip(range(level_bound + 1), *sing)
+    ]
 
     keys = module.coefficient_keys()
     lowering = [("d", -i, key) for i in (1, 2) for key in keys]
@@ -776,6 +751,8 @@ def pbw_order_spotcheck(
     lowering_words = [(f,) for f in lowering] + [
         (f1, f2) for f1 in lowering for f2 in lowering
     ]
+    raising = _raising_factors(module, level_bound, "generators")
+    ops = _factor_elements(module.coeffs, lowering + raising)
     for word in lowering_words:
         level = -sum(f[1] for f in word)
         if level > min(level_bound, module.max_level):
@@ -783,15 +760,13 @@ def pbw_order_spotcheck(
         va = module.highest_weight_vector()
         vb = alt.highest_weight_vector()
         for fac in reversed(word):
-            x = AlgebraElement(module.coeffs, {(Generator(fac[0], fac[1]), fac[2]): ONE})
-            va = module.act(x, va)
-            vb = alt.act(x, vb)
-        for rword in _raising_words(_raising_factors(module, level, "generators"), level):
+            va = module.act(ops[fac], va)
+            vb = alt.act(ops[fac], vb)
+        for rword in _raising_words(raising, level):
             wa, wb = va, vb
             for fac in reversed(rword):
-                x = AlgebraElement(module.coeffs, {(Generator(fac[0], fac[1]), fac[2]): ONE})
-                wa = module.act(x, wa)
-                wb = alt.act(x, wb)
+                wa = module.act(ops[fac], wa)
+                wb = alt.act(ops[fac], wb)
             report.values_compared += 1
             if wa.coeff(()) != wb.coeff(()):
                 report.value_mismatches.append((word, rword))

@@ -23,7 +23,8 @@ of v, and builds the vector.  The families and their columns:
 * ``TruncatedVerma`` -- the highest-weight module induced from a functional
   on the zero part, materialized on its PBW basis up to a truncation level.
   Raising operators are never truncated (they lower the level); lowering
-  past the truncation raises :class:`LevelOverflowError`.
+  past the truncation raises :class:`LevelOverflowError`.  A level is
+  counted before it is listed, and one past ``MAX_LEVEL_MONOMIALS`` is refused.
 * ``TensorModule`` -- Leibniz on the two factor columns: x is read as the
   terms each factor reads it as, tagged with the factor's side.
 
@@ -540,6 +541,9 @@ PBW_D_FIRST = PbwOrder("d-first-descending", lambda f: (0 if f[0] == "d" else 1,
 PBW_I_FIRST = PbwOrder("I-first-ascending", lambda f: (0 if f[0] == "I" else 1, f[1], f[2]))
 
 
+MAX_LEVEL_MONOMIALS = 100_000  # the most PBW monomials one Verma level may list
+
+
 class TruncatedVerma(Module):
     """Highest-weight module induced from a zero-part functional, truncated.
 
@@ -660,13 +664,11 @@ class TruncatedVerma(Module):
     # -- basis -------------------------------------------------------------
 
     def level_monomials(self, level: int) -> list:
-        if level > self.max_level:
-            raise LevelOverflowError(
-                f"level {level} exceeds truncation level {self.max_level}"
-            )
+        """The PBW monomials at ``level``, refused like :meth:`level_dimension`."""
         hit = self._level_cache.get(level)
         if hit is not None:
             return hit
+        self.level_dimension(level)
         factors = [
             (kind, -i, key)
             for i in range(1, level + 1)
@@ -692,7 +694,26 @@ class TruncatedVerma(Module):
         return out
 
     def level_dimension(self, level: int) -> int:
-        return len(self.level_monomials(level))
+        """PBW monomials at ``level``, counted without listing them: Euler's
+        transform of prod_i (1 - x^i)^-K, K = 2 * (coefficient keys) factor
+        kinds per degree.  Counts never drop as the level grows, so the first
+        level past MAX_LEVEL_MONOMIALS refuses this one (ConfigurationError).
+        """
+        if level < 0:
+            raise ConfigurationError(f"level must be >= 0, got {level}")
+        if level > self.max_level:
+            raise LevelOverflowError(f"level {level} exceeds truncation level {self.max_level}")
+        kinds = 2 * len(self.coefficient_keys())
+        counts, sigma = [1], [0]  # sigma[k]: K times the divisor sum of k
+        for m in range(1, level + 1):
+            sigma.append(kinds * sum(j for j in range(1, m + 1) if m % j == 0))
+            counts.append(sum(sigma[k] * counts[m - k] for k in range(1, m + 1)) // m)
+            if counts[m] > MAX_LEVEL_MONOMIALS:
+                raise ConfigurationError(
+                    f"level {level} has more than {MAX_LEVEL_MONOMIALS} PBW monomials "
+                    f"(level {m} has {counts[m]}), too many to list"
+                )
+        return counts[level]
 
     def window_basis(self, window: int):
         out = []

@@ -394,6 +394,13 @@ def test_annihilator_unit_on_nontrivial_module():
 # -- PBW order spot-check ----------------------------------------------------
 
 
+def test_singular_vectors_refuses_a_negative_level_before_listing():
+    M = TruncatedVerma(HighestWeightFunctional.zero(), PolynomialCoefficients(0), max_level=3)
+    with pytest.raises(ConfigurationError, match="level must be >= 0"):
+        singular_vectors(M, -1)
+    assert -1 not in M._level_cache
+
+
 def test_pbw_spotcheck_passes():
     phi = HighestWeightFunctional(
         {("d0", ()): Scalar(2), ("I0", ()): ONE, ("C_D", ()): Scalar(3)}

@@ -359,11 +359,15 @@ def _assert_internal_error(captured, type_name):
     assert captured.err.count("\n") == 1
 
 
-def test_a_crash_exits_3_not_the_verification_failed_code(tmp_path, capsys):
+def test_a_level_too_large_to_list_exits_2(tmp_path, capsys):
+    """Level 1200 is refused from its count, before any monomial is listed."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"command": "singular-vectors", "module": DEEP_VERMA, "bounds": {"level": 1200}}))
-    assert main(["--config", str(path)]) == 3
-    _assert_internal_error(capsys.readouterr(), "RecursionError")
+    assert main(["--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: level 1200 has more than 100000 PBW monomials")
+    assert captured.err.count("\n") == 1
 
 
 def test_any_unexpected_exception_exits_3(tmp_path, capsys, monkeypatch):

@@ -19,6 +19,7 @@ from hvkit.algebra import (
 )
 from hvkit.errors import ConfigurationError, DimensionMismatchError, LevelOverflowError
 from hvkit.modules import (
+    MAX_LEVEL_MONOMIALS,
     EvaluationModule,
     HighestWeightFunctional,
     IntermediateSeries,
@@ -344,6 +345,37 @@ def test_verma_level_dimension_matches_partition_oracle():
     M3 = TruncatedVerma(HighestWeightFunctional.zero(), qc, max_level=4)
     for n in range(5):
         assert M3.level_dimension(n) == _colored_partition_count(n, 6)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3], ids=["trivial", "b2", "m3"])
+def test_verma_level_count_matches_the_listing(order):
+    """The Euler-transform count equals the listed monomials, levels 0..6."""
+    coeffs = PolynomialCoefficients(0) if order == 1 else QuotientCoefficients((q_at(0, order),))
+    M = TruncatedVerma(HighestWeightFunctional.zero(), coeffs, max_level=6)
+    for n in range(7):
+        assert M.level_dimension(n) == len(M.level_monomials(n))
+
+
+def test_verma_level_count_refuses_a_level_too_large_to_list():
+    M = TruncatedVerma(HighestWeightFunctional.zero(), PolynomialCoefficients(0), max_level=1200)
+    # two factor kinds per degree: level 24 is the last one within the limit
+    assert M.level_dimension(24) == _colored_partition_count(24, 2) <= MAX_LEVEL_MONOMIALS
+    for level in (25, 1200):
+        with pytest.raises(ConfigurationError, match=f"level {level} has more than {MAX_LEVEL_MONOMIALS}"):
+            M.level_monomials(level)
+        with pytest.raises(ConfigurationError):
+            M.level_dimension(level)
+    assert M._level_cache == {}
+
+
+def test_verma_negative_level_is_refused_and_not_cached():
+    M = TruncatedVerma(HighestWeightFunctional.zero(), PolynomialCoefficients(0), max_level=3)
+    for probe in (M.level_monomials, M.level_dimension):
+        with pytest.raises(ConfigurationError, match="level must be >= 0"):
+            probe(-1)
+    assert -1 not in M._level_cache
+    with pytest.raises(LevelOverflowError):
+        M.level_dimension(4)
 
 
 def test_vector_rendering():
