@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 from typing import Callable, NamedTuple
 
 from .errors import ConfigurationError, DimensionMismatchError, ParseError
@@ -435,6 +436,9 @@ def _accumulate(parts) -> dict:
     return acc
 
 
+MAX_SWEEP_TRIPLES = 50_000_000  # the most ordered triples one Jacobi sweep may check
+
+
 def jacobi_antisymmetry_sweep(
     index_bound: int,
     monomial_bound: int,
@@ -463,8 +467,20 @@ def jacobi_antisymmetry_sweep(
     accumulation path (keys: generator id, monomial id) sums both the pair
     checks and the three nested brackets of a triple, each part tagged with
     the monomial of its own pair.  Violation payloads are rebuilt as
-    ``{(kind, index, exponents): coefficient}``.
+    ``{(kind, index, exponents): coefficient}``.  A sweep of more than
+    ``MAX_SWEEP_TRIPLES`` triples is refused before any table is built.
     """
+    ngens = 2 * max(2 * index_bound + 1, 0) + 3
+    n, r = monomial_bound + k, min(k, monomial_bound)  # len(exponents_upto) is comb(n, r)
+    if monomial_bound < 0:
+        nmonos = int(k == 0)
+    else:  # comb(n, r) >= n for r >= 1, so a large n is not expanded
+        nmonos = n if r and n**3 > MAX_SWEEP_TRIPLES else comb(n, r)
+    if (ngens * nmonos) ** 3 > MAX_SWEEP_TRIPLES:
+        raise ConfigurationError(
+            f"a sweep over index {index_bound}, monomial {monomial_bound}, k {k} "
+            f"checks more than {MAX_SWEEP_TRIPLES} triples"
+        )
     report = JacobiSweepReport(index_bound, monomial_bound, k)
     gens = generators_upto(index_bound)
     monos = exponents_upto(k, monomial_bound)

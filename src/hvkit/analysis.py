@@ -435,19 +435,26 @@ def in_maximal_submodule(module: TruncatedVerma, v: PBWVector) -> bool:
     Recursively: a vector lies in it iff each restricted raising generator
     maps it into the maximal submodule one or two levels down, with the
     level-0 slice being zero.  The same recursion as the level builder, but
-    walked over the reachable cone of the given vector.
+    walked over the reachable cone of the given vector, one visit per line
+    (scaled so its least monomial reads 1): a line that failed ends the walk.
     """
     by_level: dict[int, dict] = {}
     for mono, c in v.terms.items():
         lvl = TruncatedVerma.level_of(mono)
         by_level.setdefault(lvl, {})[mono] = c
     ops = _factor_elements(module.coeffs, _raising_factors(module, 2, "generators"))
+    walked: set = set()
 
     def rec(vec: PBWVector, level: int) -> bool:
         if vec.is_zero:
             return True
         if level == 0:
             return False
+        lead = vec.terms[min(vec.terms)]
+        line = vec if lead == 1 else vec * (ONE / lead)
+        if line in walked:
+            return True
+        walked.add(line)
         return all(
             rec(module.act(op, vec), level - fac[1]) for fac, op in ops.items() if fac[1] <= level
         )
@@ -503,6 +510,8 @@ def hc_criterion_suite(module: TruncatedVerma, f: PolyB, singular_depth: int = 4
     ConfigurationError: every vector it decorates would be zero.
     """
     report = HcSuiteReport()
+    depth = min(singular_depth, module.max_level)
+    module.level_dimension(depth)  # refuses a level too large to list, so the walk stays bounded
     coeffs = module.coeffs
     fim = coeffs.project(f)
     if not fim:
@@ -563,7 +572,6 @@ def hc_criterion_suite(module: TruncatedVerma, f: PolyB, singular_depth: int = 4
     )
     report.phi_kills_ideal = kills
 
-    depth = min(singular_depth, module.max_level)
     if kills:
         for n in range(1, depth + 1):
             for kind, gen in (("d", d(-n)), ("I", I(-n))):
@@ -735,15 +743,12 @@ def pbw_order_spotcheck(
         structure=alternative_structure or module.structure,
     )
     report = PbwSpotcheckReport()
-    # one pass of the level builder per handle: dim M_m = dim V_m - len(R_m)
-    sing = [
-        [h.level_dimension(m) - len(r) for m, r in enumerate(_reduced_levels(h, level_bound, "generators"))]
-        for h in (module, alt)
-    ]
-    report.rows = [
-        (m, module.level_dimension(m), alt.level_dimension(m), sa, sb)
-        for m, sa, sb in zip(range(level_bound + 1), *sing)
-    ]
+    # per handle: dim V_m from its listing, one builder pass, dim M_m = dim V_m - len(R_m)
+    dims, sing = [], []
+    for h in (module, alt):
+        dims.append([len(h.level_monomials(m)) for m in range(level_bound + 1)])
+        sing.append([dim - len(r) for dim, r in zip(dims[-1], _reduced_levels(h, level_bound, "generators"))])
+    report.rows = list(zip(range(level_bound + 1), *dims, *sing))
 
     keys = module.coefficient_keys()
     lowering = [("d", -i, key) for i in (1, 2) for key in keys]

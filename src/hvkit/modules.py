@@ -22,9 +22,12 @@ of v, and builds the vector.  The families and their columns:
   column is the inner module's column.
 * ``TruncatedVerma`` -- the highest-weight module induced from a functional
   on the zero part, materialized on its PBW basis up to a truncation level.
-  Raising operators are never truncated (they lower the level); lowering
-  past the truncation raises :class:`LevelOverflowError`.  A level is
-  counted before it is listed, and one past ``MAX_LEVEL_MONOMIALS`` is refused.
+  One PBW rule (``_leads``: a lowering factor may stand in front of a
+  monomial whose first factor it does not follow in the order) lists the
+  basis and places lowering factors when straightening.  Raising operators
+  are never truncated (they lower the level); lowering past the truncation
+  raises :class:`LevelOverflowError`.  A level is counted before it is
+  listed, and one past ``MAX_LEVEL_MONOMIALS`` is refused.
 * ``TensorModule`` -- Leibniz on the two factor columns: x is read as the
   terms each factor reads it as, tagged with the factor's side.
 
@@ -43,6 +46,8 @@ caches.  Descriptors round-trip through :meth:`Module.describe` /
 """
 
 from __future__ import annotations
+
+from typing import Callable, NamedTuple
 
 from .algebra import (
     AlgebraElement,
@@ -519,20 +524,11 @@ class HighestWeightFunctional:
         return f"HighestWeightFunctional({self.values!r})"
 
 
-class PbwOrder:
+class PbwOrder(NamedTuple):
     """A total order on lowering factors (kind, index, key), fixing the PBW basis."""
 
-    __slots__ = ("name", "key")
-
-    def __init__(self, name: str, key):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "key", key)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PbwOrder is immutable")
-
-    def __repr__(self):
-        return f"PbwOrder({self.name!r})"
+    name: str
+    key: Callable
 
 
 # default: d factors before I factors, indices descending, keys in enumeration order
@@ -612,86 +608,66 @@ class TruncatedVerma(Module):
     def _column(self, kind, index, key, mono):
         return self._act_term(kind, index, key, mono).items()
 
+    def _leads(self, fac, mono) -> bool:
+        """The PBW rule: ``fac`` may stand in front of ``mono`` in a basis monomial."""
+        return not mono or self.order.key(fac) <= self.order.key(mono[0])
+
     def _act_term(self, kind: str, idx: int, key, mono) -> dict:
         cache_key = (kind, idx, key, mono)
         hit = self._cache.get(cache_key)
         if hit is not None:
             return hit
         deg = idx if kind in ("d", "I") else 0
-        if not mono:
-            if deg > 0:
-                out = {}
-            elif deg == 0:
-                slot = _SLOT_OF[(kind, idx)]
-                c = self.phi(slot, key)
-                out = {(): c} if not c.is_zero else {}
-            else:
-                if -deg > self.max_level:
-                    raise LevelOverflowError(
-                        f"level {-deg} exceeds truncation level {self.max_level}"
-                    )
-                out = {((kind, idx, key),): ONE}
+        fac = (kind, idx, key)
+        if deg < 0 and self._leads(fac, mono):
+            level = self.level_of(mono) - deg
+            if level > self.max_level:
+                raise LevelOverflowError(f"level {level} exceeds truncation level {self.max_level}")
+            out = {(fac,) + mono: ONE}
+        elif not mono:
+            c = ZERO if deg else self.phi.of_generator(Generator(kind, idx), key)
+            out = {} if c.is_zero else {(): c}
         else:
-            okey = self.order.key
-            fac = (kind, idx, key)
-            if deg < 0 and okey(fac) <= okey(mono[0]):
-                level = self.level_of(mono) - deg
-                if level > self.max_level:
-                    raise LevelOverflowError(
-                        f"level {level} exceeds truncation level {self.max_level}"
-                    )
-                out = {(fac,) + mono: ONE}
-            else:
-                u_kind, u_idx, u_key = mono[0]
-                rest = mono[1:]
-                out = {}
-                # [x, u] . rest
-                struct = self.structure(kind, idx, u_kind, u_idx)
-                if struct:
-                    for key3, cm in self.coeffs.multiply(key, u_key):
-                        for k3, n3, sc in struct:
-                            c3 = scalar(sc) if cm == 1 else scalar(sc) * cm
-                            for m2, c2 in self._act_term(k3, n3, key3, rest).items():
-                                out[m2] = out.get(m2, ZERO) + c3 * c2
-                # u . (x . rest)
-                for m2, c2 in self._act_term(kind, idx, key, rest).items():
-                    for m3, c3 in self._act_term(u_kind, u_idx, u_key, m2).items():
-                        out[m3] = out.get(m3, ZERO) + c2 * c3
-                out = {m: c for m, c in out.items() if not c.is_zero}
+            (u_kind, u_idx, u_key), rest = mono[0], mono[1:]
+            out = {}
+            # [x, u] . rest
+            struct = self.structure(kind, idx, u_kind, u_idx)
+            if struct:
+                for key3, cm in self.coeffs.multiply(key, u_key):
+                    for k3, n3, sc in struct:
+                        c3 = scalar(sc) if cm == 1 else scalar(sc) * cm
+                        for m2, c2 in self._act_term(k3, n3, key3, rest).items():
+                            out[m2] = out.get(m2, ZERO) + c3 * c2
+            # u . (x . rest)
+            for m2, c2 in self._act_term(kind, idx, key, rest).items():
+                for m3, c3 in self._act_term(u_kind, u_idx, u_key, m2).items():
+                    out[m3] = out.get(m3, ZERO) + c2 * c3
+            out = {m: c for m, c in out.items() if not c.is_zero}
         self._cache[cache_key] = out
         return out
 
     # -- basis -------------------------------------------------------------
 
     def level_monomials(self, level: int) -> list:
-        """The PBW monomials at ``level``, refused like :meth:`level_dimension`."""
-        hit = self._level_cache.get(level)
-        if hit is not None:
-            return hit
-        self.level_dimension(level)
-        factors = [
-            (kind, -i, key)
-            for i in range(1, level + 1)
-            for kind in ("d", "I")
-            for key in self.coefficient_keys()
-        ]
-        factors.sort(key=self.order.key)
-        out: list = []
-
-        def rec(start, remaining, acc):
-            if remaining == 0:
-                out.append(tuple(acc))
-                return
-            for pos in range(start, len(factors)):
-                f = factors[pos]
-                if -f[1] <= remaining:
-                    acc.append(f)
-                    rec(pos, remaining + f[1], acc)
-                    acc.pop()
-
-        rec(0, level, [])
-        self._level_cache[level] = out
-        return out
+        """The PBW monomials at ``level``, refused like :meth:`level_dimension`.
+        Level m is each lowering factor f, in order-key order, in front of every
+        monomial of level m - deg f that f leads, built upwards from level 0."""
+        levels = self._level_cache  # levels 0..n
+        if level not in levels:
+            self.level_dimension(level)
+            keys = self.coefficient_keys()
+            factors = [(kind, -i, key) for i in range(1, level + 1) for kind in ("d", "I") for key in keys]
+            factors.sort(key=self.order.key)
+            levels.setdefault(0, [()])
+            for m in range(len(levels), level + 1):
+                levels[m] = [
+                    (f,) + mono
+                    for f in factors
+                    if -f[1] <= m
+                    for mono in levels[m + f[1]]
+                    if self._leads(f, mono)
+                ]
+        return levels[level]
 
     def level_dimension(self, level: int) -> int:
         """PBW monomials at ``level``, counted without listing them: Euler's

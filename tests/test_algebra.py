@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from hvkit import algebra
 from hvkit.algebra import (
     HV,
     AlgebraElement,
@@ -218,6 +219,29 @@ def test_sweep_clean_small():
     nterms = len(sweep_terms(3, 1, 1))
     assert report.triples_checked == nterms**3
     assert report.pairs_checked == nterms * (nterms + 1) // 2
+
+
+@pytest.mark.parametrize("index", [-1, 0, 1])
+@pytest.mark.parametrize("monomial", [-1, 0, 1])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_sweep_budget_counts_the_triples_it_would_check(index, monomial, k, monkeypatch):
+    """The refusal counts exactly the triples the sweep checks, without listing them."""
+    triples = len(sweep_terms(index, monomial, k)) ** 3
+    monkeypatch.setattr(algebra, "MAX_SWEEP_TRIPLES", triples)
+    assert jacobi_antisymmetry_sweep(index, monomial, k).triples_checked == triples
+    monkeypatch.setattr(algebra, "MAX_SWEEP_TRIPLES", triples - 1)
+    with pytest.raises(ConfigurationError, match=f"checks more than {triples - 1} triples"):
+        jacobi_antisymmetry_sweep(index, monomial, k)
+
+
+def test_sweep_refuses_past_the_budget_before_building_tables():
+    assert algebra.MAX_SWEEP_TRIPLES == 50_000_000
+    assert len(sweep_terms(6, 2, 2)) ** 3 <= algebra.MAX_SWEEP_TRIPLES
+    with pytest.raises(ConfigurationError, match="k 2 checks more than 50000000 triples"):
+        jacobi_antisymmetry_sweep(40, 2, 2)
+    for bounds in ((0, 10**9, 10**9), (10**4000, 2, 2), (0, 2, 10**6)):
+        with pytest.raises(ConfigurationError):
+            jacobi_antisymmetry_sweep(*bounds)
 
 
 def corrupt_cocycle(k1, n1, k2, n2):

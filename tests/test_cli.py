@@ -370,6 +370,47 @@ def test_a_level_too_large_to_list_exits_2(tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
+def _run_main(tmp_path, config) -> int:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    return main(["--config", str(path)])
+
+
+ONE_F = {"k": 0, "terms": [{"exp": [], "coeff": "1"}]}
+
+
+def test_hc_suite_walks_each_line_once(tmp_path, capsys):
+    """Level 24 is the last level within the budget; the walk visits each line once."""
+    module = {"family": "verma", "max_level": 24}
+    config = {"command": "hc-suite", "module": module, "f": ONE_F, "bounds": {"level": 24}}
+    assert _run_main(tmp_path, config) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [c["in_kernel"] for c in report["singular_checks"]] == [True] * 48
+
+
+@pytest.mark.parametrize(
+    "config,diagnostic",
+    [
+        (
+            {"command": "hc-suite", "module": {"family": "verma", "max_level": 25}, "f": ONE_F,
+             "bounds": {"level": 25}},
+            "config error: level 25 has more than 100000 PBW monomials",
+        ),
+        (
+            {"command": "jacobi-sweep", "bounds": {"index": 40, "monomial": 2, "k": 2}},
+            "config error: a sweep over index 40, monomial 2, k 2 checks more than 50000000 triples",
+        ),
+    ],
+    ids=["hc-suite-level-25", "jacobi-sweep-40-2-2"],
+)
+def test_work_past_the_budget_exits_2(tmp_path, capsys, config, diagnostic):
+    assert _run_main(tmp_path, config) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(diagnostic)
+    assert captured.err.count("\n") == 1
+
+
 def test_any_unexpected_exception_exits_3(tmp_path, capsys, monkeypatch):
     def broken(config, out_format="json", seed=None):
         raise RuntimeError("two\nlines")

@@ -24,6 +24,7 @@ from hvkit.modules import (
     HighestWeightFunctional,
     IntermediateSeries,
     OmegaModule,
+    PBW_D_FIRST,
     PBW_I_FIRST,
     PBWVector,
     TensorModule,
@@ -347,11 +348,18 @@ def test_verma_level_dimension_matches_partition_oracle():
         assert M3.level_dimension(n) == _colored_partition_count(n, 6)
 
 
-@pytest.mark.parametrize("order", [1, 2, 3], ids=["trivial", "b2", "m3"])
-def test_verma_level_count_matches_the_listing(order):
-    """The Euler-transform count equals the listed monomials, levels 0..6."""
+@pytest.mark.parametrize(
+    "order,pbw",
+    [
+        pytest.param(order, pbw, id=name if pbw is PBW_D_FIRST else f"{name}-{pbw.name}")
+        for pbw in (PBW_D_FIRST, PBW_I_FIRST)
+        for order, name in ((1, "trivial"), (2, "b2"), (3, "m3"))
+    ],
+)
+def test_verma_level_count_matches_the_listing(order, pbw):
+    """The Euler-transform count equals the listed monomials, levels 0..6, in both PBW orders."""
     coeffs = PolynomialCoefficients(0) if order == 1 else QuotientCoefficients((q_at(0, order),))
-    M = TruncatedVerma(HighestWeightFunctional.zero(), coeffs, max_level=6)
+    M = TruncatedVerma(HighestWeightFunctional.zero(), coeffs, max_level=6, order=pbw)
     for n in range(7):
         assert M.level_dimension(n) == len(M.level_monomials(n))
 
