@@ -24,12 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
 from typing import Callable, NamedTuple
 
 from .errors import ConfigurationError, DimensionMismatchError, ParseError
-from .polys import PolyB, exponents_upto, jet_expand
-from .scalars import ONE, ZERO, Combination, parse_scalar, render_scalar, scalar
+from .polys import PolyB, exponent_count, exponents_upto, jet_expand
+from .scalars import ONE, ZERO, Combination, Frozen, parse_scalar, render_scalar, scalar
 
 _CENTRAL_KINDS = ("C", "CD", "CI")
 _KINDS = ("d", "I") + _CENTRAL_KINDS
@@ -116,7 +115,7 @@ def hv_structure(k1: str, n1: int, k2: str, n2: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-class PolynomialCoefficients:
+class PolynomialCoefficients(Frozen):
     """The polynomial algebra C[b_1..b_k]; keys are exponent tuples.
 
     k = 0 gives the trivial coefficient algebra C, i.e. the core algebra
@@ -129,9 +128,6 @@ class PolynomialCoefficients:
         if k < 0:
             raise ConfigurationError(f"variable count must be >= 0, got {k}")
         object.__setattr__(self, "k", int(k))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolynomialCoefficients is immutable")
 
     def multiply(self, r, s):
         return (((tuple(a + b for a, b in zip(r, s))), 1),)
@@ -167,7 +163,7 @@ class PolynomialCoefficients:
         return f"PolynomialCoefficients(k={self.k})"
 
 
-class QuotientCoefficients:
+class QuotientCoefficients(Frozen):
     """A finite direct sum of jet quotients B/m_i^{s_i} at distinct points.
 
     Keys are (point_index, jet_exponents).  Products of keys at different
@@ -181,16 +177,11 @@ class QuotientCoefficients:
         quotients = tuple(quotients)
         if not quotients:
             raise ConfigurationError("need at least one jet quotient")
-        k = quotients[0].k
-        if any(q.k != k for q in quotients):
+        if len({q.k for q in quotients}) > 1:
             raise DimensionMismatchError("all quotient points must share k")
-        points = [q.point for q in quotients]
-        if len(set(points)) != len(points):
+        if len({q.point for q in quotients}) != len(quotients):
             raise ConfigurationError("quotient points must be distinct")
         object.__setattr__(self, "quotients", quotients)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuotientCoefficients is immutable")
 
     @property
     def k(self) -> int:
@@ -471,11 +462,7 @@ def jacobi_antisymmetry_sweep(
     ``MAX_SWEEP_TRIPLES`` triples is refused before any table is built.
     """
     ngens = 2 * max(2 * index_bound + 1, 0) + 3
-    n, r = monomial_bound + k, min(k, monomial_bound)  # len(exponents_upto) is comb(n, r)
-    if monomial_bound < 0:
-        nmonos = int(k == 0)
-    else:  # comb(n, r) >= n for r >= 1, so a large n is not expanded
-        nmonos = n if r and n**3 > MAX_SWEEP_TRIPLES else comb(n, r)
+    nmonos = exponent_count(k, monomial_bound, MAX_SWEEP_TRIPLES)
     if (ngens * nmonos) ** 3 > MAX_SWEEP_TRIPLES:
         raise ConfigurationError(
             f"a sweep over index {index_bound}, monomial {monomial_bound}, k {k} "

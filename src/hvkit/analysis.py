@@ -43,7 +43,7 @@ from .modules import (
     TruncatedVerma,
     PbwOrder,
 )
-from .polys import PolyB, PolyT
+from .polys import PolyB, PolyT, exponent_count
 from .scalars import ONE, ZERO, Scalar, render_scalar
 
 
@@ -88,6 +88,9 @@ def algebra_generator_elements(coeffs, index_bound: int, monomial_bound: int) ->
 # ---------------------------------------------------------------------------
 
 
+MAX_AXIOM_TRIPLES = 5_000_000  # the most operator pairs, and pairs x window vectors, one sweep may check
+
+
 @dataclass
 class AxiomSweepReport:
     index_bound: int
@@ -130,13 +133,26 @@ def axiom_sweep(
     against every window basis vector.  The ordered-pair identity follows
     from the swept one because the bracket engine's antisymmetry is checked
     exhaustively elsewhere.  A Verma truncation overflow inside a triple is
-    recorded as inconclusive for that triple, never as a violation.
+    recorded as inconclusive for that triple, never as a violation.  More than
+    ``MAX_AXIOM_TRIPLES`` operator pairs (counted before any operator is built),
+    or pairs times window vectors, is refused with ``ConfigurationError``.
     """
+    coeffs = module.algebra()
+    sweep = f"an axiom sweep over index {index_bound}, monomial {monomial_bound}"
+    if isinstance(coeffs, PolynomialCoefficients):
+        nkeys = exponent_count(coeffs.k, monomial_bound, MAX_AXIOM_TRIPLES)
+    else:
+        nkeys = len(coeffs.keys_upto(monomial_bound))
+    nops = (2 * max(2 * index_bound + 1, 0) + 3) * nkeys
+    npairs = nops * (nops - 1) // 2
+    if npairs > MAX_AXIOM_TRIPLES:
+        raise ConfigurationError(f"{sweep} has more than {MAX_AXIOM_TRIPLES} operator pairs")
     report = AxiomSweepReport(index_bound, monomial_bound, window)
-    ops = algebra_generator_elements(module.algebra(), index_bound, monomial_bound)
+    ops = algebra_generator_elements(coeffs, index_bound, monomial_bound)
     basis = module.window_basis(window)
-    nops = len(ops)
-    pairs = [(i, j) for i in range(nops) for j in range(i + 1, nops)]
+    if npairs * len(basis) > MAX_AXIOM_TRIPLES:
+        raise ConfigurationError(f"{sweep}, window {window} checks more than {MAX_AXIOM_TRIPLES} triples")
+    pairs = [(i, j) for i in range(len(ops)) for j in range(i + 1, len(ops))]
     if order_seed is not None:
         random.Random(order_seed).shuffle(pairs)
 

@@ -282,11 +282,9 @@ def main(argv=None) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             config = json.load(fh)
-    except OSError as exc:
-        print(f"config error: cannot read {args.config}: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"config error: invalid JSON in {args.config}: {exc}", file=sys.stderr)
+    except (OSError, ValueError, RecursionError) as exc:  # bad JSON or UTF-8, huge integers, deep nesting
+        message = " ".join(str(exc).split())
+        print(f"config error: cannot read {args.config}: {message}", file=sys.stderr)
         return 2
     try:
         code, text = run_config(config, args.out, args.seed)

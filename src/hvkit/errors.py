@@ -14,10 +14,12 @@ class ConfigurationError(HvkitError):
 
 
 class LevelOverflowError(HvkitError):
-    """A lowering operator pushed a Verma vector past the truncation level.
+    """A lowering operator pushed a Verma vector past the truncation level, or
+    straightening a monomial of about 1,000 factors passed the recursion limit.
 
     The module itself is fine; the caller must rebuild it with a larger
-    ``max_level`` to make the requested computation representable.
+    ``max_level`` (or act on shorter monomials) to make the requested
+    computation representable.
     """
 
 

@@ -32,9 +32,10 @@ of v, and builds the vector.  The families and their columns:
   terms each factor reads it as, tagged with the factor's side.
 
 Weight, PBW and tensor vectors are :class:`~hvkit.scalars.Combination`
-objects keyed by basis keys.
+objects keyed by basis keys; the highest-weight functional is one keyed by
+(slot, coefficient key).
 
-A handle's parameters are immutable, but a handle is not stateless: it fills
+A handle is :class:`~hvkit.scalars.Frozen`, but it is not stateless: it fills
 unbounded memo caches as it acts (``OmegaModule._term_cache``,
 ``TruncatedVerma._cache`` and ``_level_cache``,
 ``EvaluationModule._jet_cache``).  Entries are only ever added, each a
@@ -63,7 +64,7 @@ from .errors import (
     LevelOverflowError,
 )
 from .polys import JetQuotient, PolyB, PolyT, jet_expand
-from .scalars import ONE, ZERO, Combination, Scalar, parse_scalar, render_scalar, scalar
+from .scalars import ONE, ZERO, Combination, Frozen, Scalar, parse_scalar, render_scalar, scalar
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +133,8 @@ class TensorVector(Combination):
 # ---------------------------------------------------------------------------
 
 
-class Module:
+class Module(Frozen):
+    __slots__ = ()
     family = "abstract"
     # the family's Combination subclass; OmegaModule and EvaluationModule
     # override the vector hooks instead
@@ -231,9 +233,6 @@ class IntermediateSeries(Module):
                     "drop_line requires the degenerate parameters alpha+drop_line=0, beta=0, f=0"
                 )
 
-    def __setattr__(self, name, value):
-        raise AttributeError("IntermediateSeries is immutable")
-
     @classmethod
     def primed_zero(cls):
         """The nontrivial simple subquotient of the (0,0,0) module."""
@@ -305,9 +304,6 @@ class OmegaModule(Module):
         object.__setattr__(self, "beta", scalar(beta))
         object.__setattr__(self, "_coeffs", PolynomialCoefficients(len(self.mu)))
         object.__setattr__(self, "_term_cache", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OmegaModule is immutable")
 
     @property
     def k(self) -> int:
@@ -405,9 +401,6 @@ class EvaluationModule(Module):
                 "inner module must live over the wrapped jet quotient"
             )
 
-    def __setattr__(self, name, value):
-        raise AttributeError("EvaluationModule is immutable")
-
     def algebra(self):
         return self._coeffs
 
@@ -472,35 +465,28 @@ _PHI_SLOTS = ("d0", "I0", "C", "C_D", "C_I")
 _SLOT_OF = {("d", 0): "d0", ("I", 0): "I0", ("C", 0): "C", ("CD", 0): "C_D", ("CI", 0): "C_I"}
 
 
-class HighestWeightFunctional:
+class HighestWeightFunctional(Combination):
     """Linear functional on the zero part of the (quotient) map algebra.
 
-    Keyed by (slot, coefficient key) where slot names one of d0, I0, C,
-    C_D, C_I.  The zero part is abelian, so any functional is a
-    one-dimensional representation.
+    A combination keyed by (slot, coefficient key) where slot names one of
+    d0, I0, C, C_D, C_I, so functionals add and scale like vectors.  The zero
+    part is abelian, so any functional is a one-dimensional representation.
     """
 
-    __slots__ = ("values",)
+    __slots__ = ()
 
     def __init__(self, values=None):
-        clean = {}
-        for (slot, key), c in (values or {}).items():
+        for slot, _key in values or {}:
             if slot not in _PHI_SLOTS:
                 raise ConfigurationError(f"unknown zero-part slot {slot!r}")
-            c = scalar(c)
-            if not c.is_zero:
-                clean[(slot, key)] = c
-        object.__setattr__(self, "values", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HighestWeightFunctional is immutable")
+        Combination.__init__(self, values)
 
     @classmethod
     def zero(cls):
         return cls({})
 
     def __call__(self, slot: str, key) -> Scalar:
-        return self.values.get((slot, key), ZERO)
+        return self.terms.get((slot, key), ZERO)
 
     def of_generator(self, g: Generator, key) -> Scalar:
         slot = _SLOT_OF.get((g.kind, g.index))
@@ -514,14 +500,6 @@ class HighestWeightFunctional:
         for (g, key), c in x.terms.items():
             acc = acc + c * self.of_generator(g, key)
         return acc
-
-    def __eq__(self, other):
-        if not isinstance(other, HighestWeightFunctional):
-            return NotImplemented
-        return self.values == other.values
-
-    def __repr__(self):
-        return f"HighestWeightFunctional({self.values!r})"
 
 
 class PbwOrder(NamedTuple):
@@ -585,9 +563,6 @@ class TruncatedVerma(Module):
         object.__setattr__(self, "_cache", {})
         object.__setattr__(self, "_level_cache", {})
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedVerma is immutable")
-
     def algebra(self):
         return self.coeffs
 
@@ -606,7 +581,10 @@ class TruncatedVerma(Module):
     act = Module.act  # own class-dict entry: bench/spans.py wraps it per family
 
     def _column(self, kind, index, key, mono):
-        return self._act_term(kind, index, key, mono).items()
+        try:
+            return self._act_term(kind, index, key, mono).items()
+        except RecursionError:  # straightening recurses once per factor
+            raise LevelOverflowError(f"{len(mono)} factors are too deep to straighten") from None
 
     def _leads(self, fac, mono) -> bool:
         """The PBW rule: ``fac`` may stand in front of ``mono`` in a basis monomial."""
@@ -707,17 +685,9 @@ class TruncatedVerma(Module):
                 for q in self.coeffs.quotients
             ]
         phi_entries = []
-        for (slot, key), c in sorted(
-            self.phi.values.items(), key=lambda item: (item[0][0], str(item[0][1]))
-        ):
-            entry = {"gen": slot, "value": render_scalar(c)}
-            if key == ():
-                entry["point"] = 0
-                entry["exp"] = []
-            else:
-                entry["point"] = key[0]
-                entry["exp"] = list(key[1])
-            phi_entries.append(entry)
+        for (slot, key), c in sorted(self.phi.terms.items(), key=lambda item: (item[0][0], str(item[0][1]))):
+            point, exp = key or (0, ())  # trivial B has the one key ()
+            phi_entries.append({"gen": slot, "value": render_scalar(c), "point": point, "exp": list(exp)})
         return {
             "family": self.family,
             "quotients": quotients,
@@ -744,9 +714,6 @@ class TensorModule(Module):
             raise DimensionMismatchError("tensor factors live over different algebras")
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TensorModule is immutable")
 
     def algebra(self):
         return self.left.algebra()

@@ -22,7 +22,7 @@ import itertools
 from math import comb
 
 from .errors import ConfigurationError, DimensionMismatchError
-from .scalars import ONE, ZERO, Combination, Scalar, render_scalar, scalar
+from .scalars import ONE, ZERO, Combination, Frozen, Scalar, render_scalar, scalar
 
 MonomialExp = tuple[int, ...]
 PointB = tuple[Scalar, ...]
@@ -44,12 +44,21 @@ def exponents_upto(k: int, bound: int) -> list[MonomialExp]:
     return out
 
 
+def exponent_count(k: int, bound: int, budget: int) -> int:
+    """len(exponents_upto(k, bound)), counted without listing.  That is comb(n, min(k, bound))
+    >= n = bound + k, so once n * n > ``budget`` the smaller n stands in for it, unexpanded."""
+    if bound < 0:
+        return int(k == 0)
+    n, r = bound + k, min(k, bound)
+    return n if r and n * n > budget else comb(n, r)
+
+
 # ---------------------------------------------------------------------------
 # dense univariate polynomials in t
 # ---------------------------------------------------------------------------
 
 
-class PolyT:
+class PolyT(Frozen):
     """Polynomial in t, coefficients ascending by degree, trailing zeros stripped."""
 
     __slots__ = ("coeffs",)
@@ -59,9 +68,6 @@ class PolyT:
         while cs and cs[-1].is_zero:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyT is immutable")
 
     @classmethod
     def zero(cls):
@@ -293,7 +299,7 @@ def poly_eval(p: PolyB, point: PointB) -> Scalar:
 # ---------------------------------------------------------------------------
 
 
-class JetQuotient:
+class JetQuotient(Frozen):
     """The quotient B/m^s at a point, m the maximal ideal (b_1-mu_1, .., b_k-mu_k).
 
     Concretely: scalars on the monomials (b - mu)^r with |r| < order, with
@@ -307,9 +313,6 @@ class JetQuotient:
             raise ConfigurationError(f"jet order must be >= 1, got {order}")
         object.__setattr__(self, "point", tuple(scalar(x) for x in point))
         object.__setattr__(self, "order", int(order))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("JetQuotient is immutable")
 
     @property
     def k(self) -> int:

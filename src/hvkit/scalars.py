@@ -6,6 +6,10 @@ field, so equality is exact and "equals zero" is decidable.  There is no
 floating-point mode: inexact or ambiguous inputs (``float``, ``complex``,
 ``bool``, ``str``) are refused with ``TypeError``.
 
+Values are immutable by one rule: a :class:`Frozen` value (scalars,
+combinations, polynomials, coefficient algebras, jet quotients and module
+handles) writes its slots once, in ``__init__``, and refuses every assignment.
+
 A :class:`Scalar` is the integer triple ``(a, b, d)`` standing for
 ``(a + b*i)/d``, one common denominator for both parts.  The triple is kept
 canonical, ``d > 0`` and ``gcd(a, b, d) == 1``, so equality is triple
@@ -41,11 +45,20 @@ def _rational_parts(value):
     return None
 
 
-class Scalar:
+class Frozen:
+    """Base of the immutable value types: every attribute assignment is refused."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Scalar(Frozen):
     """An element (a + b*i)/d of Q(i), stored as a canonical integer triple.
 
-    Immutable: the triple is written once, through the slot descriptors,
-    and ``re`` and ``im`` are read-only views of it.
+    The triple is written once, through the slot writers, and ``re`` and
+    ``im`` are read-only views of it.
     """
 
     __slots__ = ("_a", "_b", "_d")
@@ -61,9 +74,6 @@ class Scalar:
         _set_a(self, a // g)
         _set_b(self, b // g)
         _set_d(self, d // g)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Scalar is immutable")
 
     @property
     def re(self) -> Fraction:
@@ -208,7 +218,7 @@ class Scalar:
 
 
 _new = object.__new__
-# slot writers that bypass Scalar.__setattr__, which refuses every assignment
+# slot writers that bypass Frozen.__setattr__, which refuses every assignment
 _set_a, _set_b, _set_d = Scalar._a.__set__, Scalar._b.__set__, Scalar._d.__set__
 
 
@@ -317,7 +327,7 @@ def parse_scalar(text: str) -> Scalar:
     return Scalar(re_part or 0, im_part or 0)
 
 
-class Combination:
+class Combination(Frozen):
     """Immutable finite linear combination: a dict from keys to nonzero scalars.
 
     Subclasses say what the keys are.  Two combinations add or compare only
@@ -334,9 +344,6 @@ class Combination:
             if not c.is_zero:
                 clean[key] = c
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def _space(self):
         return None

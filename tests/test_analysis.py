@@ -11,8 +11,11 @@ from hvkit.algebra import (
     gen_elt,
     hv_structure,
 )
+from hvkit import analysis
 from hvkit.analysis import (
+    MAX_AXIOM_TRIPLES,
     WeightTuple,
+    algebra_generator_elements,
     annihilator_probe,
     axiom_sweep,
     hc_criterion_suite,
@@ -98,6 +101,62 @@ def test_axiom_sweep_seed_does_not_change_findings():
     a = axiom_sweep(bad, 2, 1, window=2, order_seed=1)
     b = axiom_sweep(bad, 2, 1, window=2, order_seed=99)
     assert a.violations == b.violations
+
+
+@pytest.mark.parametrize(
+    "module",
+    [
+        OmegaModule(2, 3, (), 0),
+        OmegaModule(2, 3, (ONE, HALF), 0),
+        TruncatedVerma(HighestWeightFunctional.zero(), QuotientCoefficients((q_at(0, 2), q_at(1, 1))), 2),
+    ],
+    ids=["omega-k0", "omega-k2", "verma-two-points"],
+)
+def test_axiom_sweep_counts_its_pairs_exactly(monkeypatch, module):
+    """Window 0 has one vector, so the budget binds first on the operator pairs."""
+    for index_bound, monomial_bound in ((-1, 0), (0, -1), (1, 1), (1, 2)):
+        nops = len(algebra_generator_elements(module.algebra(), index_bound, monomial_bound))
+        npairs = nops * (nops - 1) // 2
+        monkeypatch.setattr(analysis, "MAX_AXIOM_TRIPLES", npairs)
+        assert axiom_sweep(module, index_bound, monomial_bound, window=0).triples_checked == npairs
+        monkeypatch.setattr(analysis, "MAX_AXIOM_TRIPLES", npairs - 1)
+        with pytest.raises(ConfigurationError, match="operator pairs"):
+            axiom_sweep(module, index_bound, monomial_bound, window=0)
+
+
+def test_the_largest_suite_sweep_has_headroom():
+    """The criterion-2 tensor piece, (5, 2) on window 1 over C[b], is the largest sweep
+    in the tests, the benchmark, the README and CI: 2,775 pairs and 69,375 triples."""
+    nops = len(algebra_generator_elements(PolynomialCoefficients(1), 5, 2))
+    triples = nops * (nops - 1) // 2 * 25  # 25 = 5 x 5 tensor basis vectors
+    assert triples == 69_375
+    assert 10 * triples <= MAX_AXIOM_TRIPLES
+
+
+def _no_operators(*_args):
+    raise AssertionError("an operator was built")
+
+
+@pytest.mark.parametrize(
+    "module,bounds",
+    [
+        (IntermediateSeries(HALF, 0, 1), (3000, 0)),
+        (OmegaModule(2, 3, (Scalar(1), Scalar(2)), 0), (5, 10**50)),
+        (OmegaModule(2, 3, (ONE,) * 100_000, 0), (0, 100_000)),
+    ],
+    ids=["index-3000", "monomial-1e50", "k-100000"],
+)
+def test_axiom_sweep_refuses_too_many_pairs_before_building(monkeypatch, module, bounds):
+    monkeypatch.setattr(analysis, "algebra_generator_elements", _no_operators)
+    with pytest.raises(ConfigurationError, match=f"more than {MAX_AXIOM_TRIPLES} operator pairs"):
+        axiom_sweep(module, *bounds, window=2)
+
+
+def test_axiom_sweep_refuses_too_many_triples_before_checking(monkeypatch):
+    # index 200: 805 operators, 323,610 pairs; window 8 has 17 lines
+    monkeypatch.setattr(analysis, "bracket", _no_operators)
+    with pytest.raises(ConfigurationError, match=f"window 8 checks more than {MAX_AXIOM_TRIPLES} triples"):
+        axiom_sweep(IntermediateSeries(HALF, 0, 1), 200, 0, window=8)
 
 
 # -- weight tables -----------------------------------------------------------

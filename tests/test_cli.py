@@ -400,14 +400,40 @@ def test_hc_suite_walks_each_line_once(tmp_path, capsys):
             {"command": "jacobi-sweep", "bounds": {"index": 40, "monomial": 2, "k": 2}},
             "config error: a sweep over index 40, monomial 2, k 2 checks more than 50000000 triples",
         ),
+        (
+            {"command": "check-axioms", "module": INTERMEDIATE, "bounds": {"index": 3000, "window": 2}},
+            "config error: an axiom sweep over index 3000, monomial 2 has more than 5000000 operator pairs",
+        ),
     ],
-    ids=["hc-suite-level-25", "jacobi-sweep-40-2-2"],
+    ids=["hc-suite-level-25", "jacobi-sweep-40-2-2", "check-axioms-index-3000"],
 )
 def test_work_past_the_budget_exits_2(tmp_path, capsys, config, diagnostic):
     assert _run_main(tmp_path, config) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(diagnostic)
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"command": "jacobi-sweep", "bounds": {"index": ' + "9" * 5001 + "}}",
+        '{"command": "weights", "module": {"family": "intermediate", "alpha": "é"}}'.encode("latin-1"),
+        "[" * 100_000 + "]" * 100_000,
+    ],
+    ids=["5001-digit-integer", "latin-1-file", "nested-100000-deep"],
+)
+def test_an_unreadable_config_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "cfg.json"
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
+    assert main(["--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: cannot read {path}: ")
     assert captured.err.count("\n") == 1
 
 

@@ -299,6 +299,24 @@ def test_verma_truncation_overflow():
         M.act(gen_elt(HV, d(-3)), M.highest_weight_vector())
 
 
+def _d_minus_one_power(n):
+    return PBWVector({(("d", -1, ()),) * n: ONE})
+
+
+def test_verma_deep_straightening_overflows_instead_of_recursing():
+    """d(1)·d(-1)^n·hw = (n(n-1) - 2nh)·d(-1)^(n-1)·hw with h = φ(d0); straightening
+    recurses once per factor, so 1,000 factors pass the default recursion limit."""
+    phi = HighestWeightFunctional({("d0", ()): 1})
+    M = TruncatedVerma(phi, HV, max_level=1200)
+    x = gen_elt(HV, d(1))
+    with pytest.raises(LevelOverflowError, match="1000 factors"):
+        M.act(x, _d_minus_one_power(1000))
+    for n in (1, 2, 3, 5):  # the handle keeps no partial entry
+        assert M.act(x, _d_minus_one_power(n)) == Scalar(n * (n - 1) - 2 * n) * _d_minus_one_power(n - 1)
+    fresh = TruncatedVerma(phi, HV, max_level=1200)
+    assert fresh.act(x, _d_minus_one_power(600)) == Scalar(600 * 599 - 1200) * _d_minus_one_power(599)
+
+
 def test_verma_phi_linearity_at_level_zero():
     phi = HighestWeightFunctional({("d0", ()): Scalar(3), ("C", ()): HALF})
     M = TruncatedVerma(phi, PolynomialCoefficients(0), max_level=2)

@@ -9,6 +9,7 @@ from hvkit.polys import (
     JetQuotient,
     PolyB,
     PolyT,
+    exponent_count,
     exponents_upto,
     jet_expand,
     jets_multiply,
@@ -191,3 +192,14 @@ def test_exponents_upto():
     assert exponents_upto(0, 3) == [()]
     assert exponents_upto(2, 1) == [(0, 0), (0, 1), (1, 0)]
     assert len(exponents_upto(2, 2)) == 6
+
+
+def test_exponent_count_is_exact_or_a_stand_in_past_the_budget():
+    for k in range(5):
+        for bound in range(-1, 6):
+            count = len(exponents_upto(k, bound))
+            for budget in (-1, 0, 4, 20, 100):
+                got = exponent_count(k, bound, budget)
+                assert got == count or (got < count and got * got > budget)
+            assert exponent_count(k, bound, 100) == count
+    assert exponent_count(3, 10**50, 100) == 10**50 + 3  # unexpanded
