@@ -73,6 +73,18 @@ def unit_element(coeffs, g: Generator) -> AlgebraElement:
     return _decorated(coeffs, g, dict(coeffs.unit_keys()))
 
 
+MAX_WINDOW_VECTORS = 100_000  # the most window basis vectors one command may list
+
+
+def _window_size(module: Module, window: int) -> int:
+    """``module.window_size(window)``, refused past MAX_WINDOW_VECTORS
+    (ConfigurationError) before anything is listed."""
+    size = module.window_size(window)
+    if size > MAX_WINDOW_VECTORS:
+        raise ConfigurationError(f"window {window} has {size} vectors, more than {MAX_WINDOW_VECTORS} to list")
+    return size
+
+
 def algebra_generator_elements(coeffs, index_bound: int, monomial_bound: int) -> list:
     """Single-term homogeneous elements within the sweep bounds.
 
@@ -134,8 +146,9 @@ def axiom_sweep(
     from the swept one because the bracket engine's antisymmetry is checked
     exhaustively elsewhere.  A Verma truncation overflow inside a triple is
     recorded as inconclusive for that triple, never as a violation.  More than
-    ``MAX_AXIOM_TRIPLES`` operator pairs (counted before any operator is built),
-    or pairs times window vectors, is refused with ``ConfigurationError``.
+    ``MAX_AXIOM_TRIPLES`` operator pairs, or pairs times window vectors (both
+    counted before any operator is built or vector listed), is refused with
+    ``ConfigurationError``.
     """
     coeffs = module.algebra()
     sweep = f"an axiom sweep over index {index_bound}, monomial {monomial_bound}"
@@ -147,11 +160,11 @@ def axiom_sweep(
     npairs = nops * (nops - 1) // 2
     if npairs > MAX_AXIOM_TRIPLES:
         raise ConfigurationError(f"{sweep} has more than {MAX_AXIOM_TRIPLES} operator pairs")
+    if npairs * _window_size(module, window) > MAX_AXIOM_TRIPLES:
+        raise ConfigurationError(f"{sweep}, window {window} checks more than {MAX_AXIOM_TRIPLES} triples")
     report = AxiomSweepReport(index_bound, monomial_bound, window)
     ops = algebra_generator_elements(coeffs, index_bound, monomial_bound)
     basis = module.window_basis(window)
-    if npairs * len(basis) > MAX_AXIOM_TRIPLES:
-        raise ConfigurationError(f"{sweep}, window {window} checks more than {MAX_AXIOM_TRIPLES} triples")
     pairs = [(i, j) for i in range(len(ops)) for j in range(i + 1, len(ops))]
     if order_seed is not None:
         random.Random(order_seed).shuffle(pairs)
@@ -211,6 +224,7 @@ def weight_table(module: Module, window: int = 4) -> dict:
     basis vectors are not (the rank-one free family, say, where d_0 is
     multiplication by t) raises :class:`UnsupportedModuleError`.
     """
+    _window_size(module, window)
     coeffs = module.algebra()
     ops = [unit_element(coeffs, g) for g in _WEIGHT_GENS]
     table: dict[WeightTuple, int] = {}
@@ -333,6 +347,7 @@ def probe_irreducible(module: Module, window: int = 4, operator_bound: int = 3) 
     """
     if window < 1 or operator_bound < 1:
         raise ConfigurationError("window and operator bound must be >= 1")
+    _window_size(module, window)
     if isinstance(module, OmegaModule):
         return _omega_probe(module, window, operator_bound)
     if isinstance(module, IntermediateSeries):
@@ -386,26 +401,28 @@ def _reduced_levels(module: TruncatedVerma, level: int, raising: str):
     form whose kernel is M_m, so applying R_m to a level-m vector (in
     ``level_monomials`` coordinates) gives its coordinates in V_m / M_m, and
     dim M_m = dim V_m - len(R_m).  The rows at level m are the quotient
-    coordinates of e.u, one factor e acting once on each basis monomial u;
-    their exact elimination gives R_m.  This is the package's one call site
-    of ``sparse_rref``, one call per level m >= 1.
+    coordinates of e.u, one factor e acting once on each basis monomial u,
+    read straight from the module's column (the straightening of e.u); their
+    exact elimination gives R_m.  This is the package's one call site of
+    ``sparse_rref``, one call per level m >= 1.
     """
-    ops = _factor_elements(module.coeffs, _raising_factors(module, level, raising))
+    factors = _raising_factors(module, level, raising)
+    column = module._column
     # quotient coordinates by level: coords[m][mono] = {row of R_m: coefficient}
     coords: list = []
     reduced = [(0, {0: ONE})]  # R_0: M_0 = 0, the coordinate is the hw coefficient
     yield reduced
     for m in range(1, level + 1):
         coords.append(_quotient_coordinates(reduced, module.level_monomials(m - 1)))
+        monos = module.level_monomials(m)
         rows: list = []
-        for fac, op in ops.items():
-            if fac[1] > m:
+        for kind, index, key in factors:
+            if index > m:
                 continue
-            below = coords[m - fac[1]]
+            below = coords[m - index]
             fac_rows: dict = {}
-            for j, mono in enumerate(module.level_monomials(m)):
-                image = module.act(op, PBWVector({mono: ONE}))
-                for m2, c in image.terms.items():
+            for j, mono in enumerate(monos):
+                for m2, c in column(kind, index, key, mono):
                     for i, rc in below.get(m2, {}).items():
                         row = fac_rows.setdefault(i, {})
                         row[j] = row.get(j, ZERO) + c * rc
@@ -696,6 +713,7 @@ def annihilator_probe(
     if not isinstance(coeffs, PolynomialCoefficients):
         raise UnsupportedModuleError("annihilator probes run over the polynomial map algebra")
     report = AnnihilatorReport(window, index_bound)
+    _window_size(module, window)
     basis = module.window_basis(window)
     for p in generators:
         image = coeffs.project(p)
@@ -747,7 +765,8 @@ def pbw_order_spotcheck(
     level dimensions, singular-slice dimensions, and the highest-weight-line
     scalars of lowering-then-raising word chains.  The chains build one
     abstract vector per lowering word in each basis and collapse it with
-    every matching raising word; any divergence between the two engines --
+    every matching raising word, applying each distinct raising suffix once
+    per handle; any divergence between the two engines --
     a reordered basis, a dropped central term -- shows up as a value
     mismatch even when the kernel dimensions happen to agree.
     """
@@ -783,11 +802,15 @@ def pbw_order_spotcheck(
         for fac in reversed(word):
             va = module.act(ops[fac], va)
             vb = alt.act(ops[fac], vb)
+        images = {(): (va, vb)}  # raising suffix -> its images of (va, vb), each applied once
         for rword in _raising_words(raising, level):
-            wa, wb = va, vb
-            for fac in reversed(rword):
-                wa = module.act(ops[fac], wa)
-                wb = alt.act(ops[fac], wb)
+            for i in range(len(rword) - 1, -1, -1):
+                suffix = rword[i:]
+                if suffix not in images:
+                    wa, wb = images[suffix[1:]]
+                    op = ops[suffix[0]]
+                    images[suffix] = (module.act(op, wa), alt.act(op, wb))
+            wa, wb = images[rword]
             report.values_compared += 1
             if wa.coeff(()) != wb.coeff(()):
                 report.value_mismatches.append((word, rword))

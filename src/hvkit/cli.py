@@ -214,6 +214,8 @@ def run_config(config: dict, out_format: str = "json", seed: int | None = None):
             _fail("f", "required for hc-suite")
         f = _parse_poly(config["f"], "f")
         report = hc_criterion_suite(module, f, singular_depth=_get_count(bounds, "level", 4))
+        if report.phi_kills_ideal and not report.singular_checks:
+            _fail("bounds.level", "must be >= 1 when the functional kills the ideal, or no vector is checked")
         payload.update(report.summary())
         return (0 if report.passed else 1), _render(payload, out_format)
 

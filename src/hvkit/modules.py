@@ -186,6 +186,10 @@ class Module(Frozen):
         """Finite list of (key, basis vector) pairs used by sweeps and probes."""
         raise NotImplementedError
 
+    def window_size(self, window: int) -> int:
+        """``len(self.window_basis(window))``, counted without listing it."""
+        raise NotImplementedError
+
     def describe(self) -> dict:
         raise NotImplementedError
 
@@ -261,6 +265,10 @@ class IntermediateSeries(Module):
             for k in range(-window, window + 1)
             if k != self.drop_line
         ]
+
+    def window_size(self, window: int) -> int:
+        dropped = self.drop_line is not None and -window <= self.drop_line <= window
+        return max(2 * window + 1, 0) - dropped
 
     def describe(self) -> dict:
         out = {
@@ -353,6 +361,9 @@ class OmegaModule(Module):
 
     def window_basis(self, window: int):
         return [(j, PolyT.t_power(j)) for j in range(window + 1)]
+
+    def window_size(self, window: int) -> int:
+        return max(window + 1, 0)
 
     def describe(self) -> dict:
         return {
@@ -447,6 +458,9 @@ class EvaluationModule(Module):
 
     def window_basis(self, window: int):
         return self.inner.window_basis(window)
+
+    def window_size(self, window: int) -> int:
+        return self.inner.window_size(window)
 
     def describe(self) -> dict:
         return {
@@ -676,6 +690,9 @@ class TruncatedVerma(Module):
                 out.append((mono, PBWVector({mono: ONE})))
         return out
 
+    def window_size(self, window: int) -> int:
+        return sum(self.level_dimension(level) for level in range(min(window, self.max_level) + 1))
+
     def describe(self) -> dict:
         if isinstance(self.coeffs, PolynomialCoefficients):
             quotients = []
@@ -743,6 +760,9 @@ class TensorModule(Module):
                 key = (lk, rk)
                 out.append((key, TensorVector({key: ONE})))
         return out
+
+    def window_size(self, window: int) -> int:
+        return self.left.window_size(window) * self.right.window_size(window)
 
     def describe(self) -> dict:
         return {

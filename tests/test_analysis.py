@@ -14,6 +14,7 @@ from hvkit.algebra import (
 from hvkit import analysis
 from hvkit.analysis import (
     MAX_AXIOM_TRIPLES,
+    MAX_WINDOW_VECTORS,
     WeightTuple,
     algebra_generator_elements,
     annihilator_probe,
@@ -34,6 +35,7 @@ from hvkit.modules import (
     IntermediateSeries,
     OmegaModule,
     PBW_I_FIRST,
+    TensorModule,
     TruncatedVerma,
 )
 from hvkit.polys import JetQuotient, PolyB, PolyT
@@ -157,6 +159,65 @@ def test_axiom_sweep_refuses_too_many_triples_before_checking(monkeypatch):
     monkeypatch.setattr(analysis, "bracket", _no_operators)
     with pytest.raises(ConfigurationError, match=f"window 8 checks more than {MAX_AXIOM_TRIPLES} triples"):
         axiom_sweep(IntermediateSeries(HALF, 0, 1), 200, 0, window=8)
+
+
+# -- window budget -----------------------------------------------------------
+
+
+def _b2():
+    return QuotientCoefficients((JetQuotient((ZERO,), 2),))
+
+
+WINDOW_MODULES = {
+    "intermediate": IntermediateSeries(HALF, 0, 1),
+    "dropped-line": IntermediateSeries.primed_zero(),
+    "omega": OmegaModule(2, 3, (ONE,), 0),
+    "evaluation": EvaluationModule(JetQuotient((Scalar(2),), 1), IntermediateSeries(HALF, 0, 1)),
+    "jet-verma": EvaluationModule(
+        JetQuotient((ZERO,), 2), TruncatedVerma(HighestWeightFunctional.zero(), _b2(), max_level=2)
+    ),
+    "verma": TruncatedVerma(HighestWeightFunctional.zero(), PolynomialCoefficients(0), max_level=3),
+    "tensor": TensorModule(
+        IntermediateSeries(HALF, 0, 1),
+        TruncatedVerma(HighestWeightFunctional.zero(), PolynomialCoefficients(0), max_level=2),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WINDOW_MODULES))
+def test_window_size_counts_the_listing(name):
+    module = WINDOW_MODULES[name]
+    for window in range(-1, 5):
+        assert module.window_size(window) == len(module.window_basis(window)), window
+
+
+def test_window_budget_boundary():
+    line, omega = WINDOW_MODULES["intermediate"], WINDOW_MODULES["omega"]
+    assert analysis._window_size(line, 49_999) == 99_999
+    assert analysis._window_size(omega, MAX_WINDOW_VECTORS - 1) == MAX_WINDOW_VECTORS
+    for module, window in ((line, 50_000), (omega, MAX_WINDOW_VECTORS)):
+        with pytest.raises(ConfigurationError, match=f"more than {MAX_WINDOW_VECTORS} to list"):
+            analysis._window_size(module, window)
+
+
+def _no_listing(*_args):
+    raise AssertionError("the window was listed")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: weight_table(m, window=10**8),
+        lambda m: probe_irreducible(m, 10**8),
+        lambda m: axiom_sweep(m, 0, 0, window=10**8),
+        lambda m: annihilator_probe(m, [PolyB.const(0, 1)], window=10**8),
+    ],
+    ids=["weights", "probe-irreducible", "check-axioms", "annihilator"],
+)
+def test_a_huge_window_is_refused_before_it_is_listed(monkeypatch, call):
+    monkeypatch.setattr(IntermediateSeries, "window_basis", _no_listing)
+    with pytest.raises(ConfigurationError, match=f"window 100000000 has 200000001 vectors, more than {MAX_WINDOW_VECTORS}"):
+        call(IntermediateSeries(HALF, 0, 1))
 
 
 # -- weight tables -----------------------------------------------------------

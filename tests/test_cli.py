@@ -1,5 +1,6 @@
 import json
 import re
+import time
 
 import pytest
 
@@ -321,8 +322,11 @@ JET_B2_VERMA = {
          "verma.phi[0]: exp must be empty over trivial B"),
         ({"command": "weights", "module": dict(TRIVIAL_VERMA, phi=[{"gen": "d0", "value": "1", "point": 3}])},
          "verma.phi[0].point: must be 0 over trivial B"),
+        ({"command": "hc-suite", "module": {"family": "verma", "max_level": 2, "phi": []},
+          "f": {"k": 0, "terms": [{"exp": [], "coeff": "1"}]}, "bounds": {"level": 0}},
+         "bounds.level: must be >= 1 when the functional kills the ideal"),
     ],
-    ids=["hc-zero-f", "hc-f-in-the-ideal", "trivial-phi-zero-exp", "trivial-phi-point"],
+    ids=["hc-zero-f", "hc-f-in-the-ideal", "trivial-phi-zero-exp", "trivial-phi-point", "hc-kills-at-level-0"],
 )
 def test_inputs_that_would_check_nothing_or_be_dropped_are_rejected(tmp_path, capsys, config, diagnostic):
     with pytest.raises(ConfigurationError, match=re.escape(diagnostic)):
@@ -412,6 +416,32 @@ def test_work_past_the_budget_exits_2(tmp_path, capsys, config, diagnostic):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(diagnostic)
+    assert captured.err.count("\n") == 1
+
+
+HALF_LINE = {"family": "intermediate", "alpha": "1/2", "beta": "0", "F": "1"}
+HUGE = {"window": 100_000_000}
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"command": "weights", "module": HALF_LINE, "bounds": HUGE},
+        {"command": "probe-irreducible", "module": HALF_LINE, "bounds": HUGE},
+        {"command": "check-axioms", "module": HALF_LINE, "bounds": dict(HUGE, index=0, monomial=0)},
+        {"command": "annihilator", "module": OMEGA, "bounds": HUGE,
+         "generators": [{"terms": [{"exp": [1], "coeff": "1"}]}]},
+    ],
+    ids=["weights", "probe-irreducible", "check-axioms", "annihilator"],
+)
+def test_a_huge_window_exits_2_before_it_is_listed(tmp_path, capsys, config):
+    start = time.perf_counter()
+    assert _run_main(tmp_path, config) == 2
+    assert time.perf_counter() - start < 2.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: window 100000000 has ")
+    assert "vectors, more than 100000 to list" in captured.err
     assert captured.err.count("\n") == 1
 
 
