@@ -385,6 +385,11 @@ def generators_upto(index_bound: int) -> list:
     return [d(n) for n in span] + [I(n) for n in span] + [C, C_D, C_I]
 
 
+def generator_count(index_bound: int) -> int:
+    """``len(generators_upto(index_bound))``, counted without listing."""
+    return 2 * max(2 * index_bound + 1, 0) + 3
+
+
 def sweep_terms(index_bound: int, monomial_bound: int, k: int) -> list:
     """All decorated generators (kind, index, exponents) within the bounds."""
     monos = exponents_upto(k, monomial_bound)
@@ -461,7 +466,7 @@ def jacobi_antisymmetry_sweep(
     ``{(kind, index, exponents): coefficient}``.  A sweep of more than
     ``MAX_SWEEP_TRIPLES`` triples is refused before any table is built.
     """
-    ngens = 2 * max(2 * index_bound + 1, 0) + 3
+    ngens = generator_count(index_bound)
     nmonos = exponent_count(k, monomial_bound, MAX_SWEEP_TRIPLES)
     if (ngens * nmonos) ** 3 > MAX_SWEEP_TRIPLES:
         raise ConfigurationError(

@@ -25,6 +25,7 @@ from .algebra import (
     PolynomialCoefficients,
     bracket,
     d,
+    generator_count,
     generators_upto,
     I,
 )
@@ -73,15 +74,16 @@ def unit_element(coeffs, g: Generator) -> AlgebraElement:
     return _decorated(coeffs, g, dict(coeffs.unit_keys()))
 
 
-MAX_WINDOW_VECTORS = 100_000  # the most window basis vectors one command may list
+MAX_WINDOW_VECTORS = 100_000  # the most a window may weigh (``Module.window_cost``) in one command
 
 
 def _window_size(module: Module, window: int) -> int:
-    """``module.window_size(window)``, refused past MAX_WINDOW_VECTORS
-    (ConfigurationError) before anything is listed."""
-    size = module.window_size(window)
-    if size > MAX_WINDOW_VECTORS:
-        raise ConfigurationError(f"window {window} has {size} vectors, more than {MAX_WINDOW_VECTORS} to list")
+    """``module.window_size(window)``, refused (ConfigurationError) before
+    anything is listed when ``module.window_cost(window)`` passes MAX_WINDOW_VECTORS."""
+    size, cost = module.window_size(window), module.window_cost(window)
+    if cost > MAX_WINDOW_VECTORS:
+        weight = "" if cost == size else f" (weighed as {cost}, each t^j as j + 1)"
+        raise ConfigurationError(f"window {window} has {size} vectors, more than {MAX_WINDOW_VECTORS} to list{weight}")
     return size
 
 
@@ -156,7 +158,7 @@ def axiom_sweep(
         nkeys = exponent_count(coeffs.k, monomial_bound, MAX_AXIOM_TRIPLES)
     else:
         nkeys = len(coeffs.keys_upto(monomial_bound))
-    nops = (2 * max(2 * index_bound + 1, 0) + 3) * nkeys
+    nops = generator_count(index_bound) * nkeys
     npairs = nops * (nops - 1) // 2
     if npairs > MAX_AXIOM_TRIPLES:
         raise ConfigurationError(f"{sweep} has more than {MAX_AXIOM_TRIPLES} operator pairs")
@@ -644,7 +646,7 @@ def omega_invariants(module: Module):
     coeffs = module.algebra()
     if not isinstance(coeffs, PolynomialCoefficients):
         raise UnsupportedModuleError("rank-one invariants need the polynomial map algebra")
-    if not isinstance(module.zero_vector(), PolyT):
+    if module.vector_type is not PolyT:
         raise UnsupportedModuleError("rank-one invariants need a module on C[t] (the omega family)")
     one = PolyT.one()
     g1 = module.act(unit_element(coeffs, d(1)), one)

@@ -31,9 +31,10 @@ of v, and builds the vector.  The families and their columns:
 * ``TensorModule`` -- Leibniz on the two factor columns: x is read as the
   terms each factor reads it as, tagged with the factor's side.
 
-Weight, PBW and tensor vectors are :class:`~hvkit.scalars.Combination`
-objects keyed by basis keys; the highest-weight functional is one keyed by
-(slot, coefficient key).
+Every vector is a :class:`~hvkit.scalars.Combination` keyed by basis keys,
+of the family's ``vector_type``: weight lines, degrees in t (``PolyT``), PBW
+monomials or key pairs of a tensor.  The highest-weight functional is one
+keyed by (slot, coefficient key).
 
 A handle is :class:`~hvkit.scalars.Frozen`, but it is not stateless: it fills
 unbounded memo caches as it acts (``OmegaModule._term_cache``,
@@ -136,8 +137,7 @@ class TensorVector(Combination):
 class Module(Frozen):
     __slots__ = ()
     family = "abstract"
-    # the family's Combination subclass; OmegaModule and EvaluationModule
-    # override the vector hooks instead
+    # the family's Combination subclass, which every vector of the module is
     vector_type = None
 
     def algebra(self):
@@ -150,7 +150,7 @@ class Module(Frozen):
     def act(self, x: AlgebraElement, v):
         """x . v, the family's column extended linearly over x and v."""
         self._check_element(x)
-        coords = self._coordinates(v)
+        coords = v.terms.items()
         column = self._column
         out: dict = {}
         for ((kind, index), key), c in self._terms(x):
@@ -158,25 +158,17 @@ class Module(Frozen):
                 cc = c * cv
                 for b2, c2 in column(kind, index, key, b):
                     out[b2] = out.get(b2, ZERO) + cc * c2
-        return self._vector(out)
+        return self.vector_type(out)
 
     def _terms(self, x: AlgebraElement):
         """((generator, key), coefficient) pairs the column is extended over."""
         return x.terms.items()
 
-    def _coordinates(self, v):
-        """(basis key, coefficient) pairs of a vector, in any order."""
-        return v.terms.items()
-
-    def _vector(self, coords: dict):
-        """The vector with these basis coordinates."""
-        return self.vector_type(coords)
-
     def zero_vector(self):
-        return self._vector({})
+        return self.vector_type({})
 
     def basis_vector(self, key):
-        return self._vector({key: ONE})
+        return self.vector_type({key: ONE})
 
     def components(self, v):
         """Decompose a vector into (basis key, coefficient) pairs."""
@@ -189,6 +181,10 @@ class Module(Frozen):
     def window_size(self, window: int) -> int:
         """``len(self.window_basis(window))``, counted without listing it."""
         raise NotImplementedError
+
+    def window_cost(self, window: int) -> int:
+        """The window's weight against the window budget: its size, except on Ω."""
+        return self.window_size(window)
 
     def describe(self) -> dict:
         raise NotImplementedError
@@ -299,6 +295,7 @@ class OmegaModule(Module):
     """
 
     family = "omega"
+    vector_type = PolyT
 
     __slots__ = ("lam", "alpha", "mu", "beta", "_coeffs", "_term_cache")
 
@@ -345,25 +342,20 @@ class OmegaModule(Module):
                 image = s * (shifted * PolyT((-n * self.alpha, ONE)))
             else:
                 image = (s * self.beta) * shifted
-            hit = self._coordinates(image)
+            hit = image.terms.items()
             self._term_cache[key] = hit
         return hit
-
-    def _coordinates(self, f: PolyT):
-        return [(j, c) for j, c in enumerate(f.coeffs) if not c.is_zero]
-
-    def _vector(self, coords: dict) -> PolyT:
-        if not coords:
-            return PolyT.zero()
-        return PolyT([coords.get(i, ZERO) for i in range(max(coords) + 1)])
-
-    components = _coordinates
 
     def window_basis(self, window: int):
         return [(j, PolyT.t_power(j)) for j in range(window + 1)]
 
     def window_size(self, window: int) -> int:
         return max(window + 1, 0)
+
+    def window_cost(self, window: int) -> int:
+        # acting on t^j expands (t - n)^j, so t^j weighs its j + 1 coefficients
+        n = self.window_size(window)
+        return n * (n + 1) // 2
 
     def describe(self) -> dict:
         return {
@@ -447,11 +439,9 @@ class EvaluationModule(Module):
     def _column(self, kind, index, key, basis_key):
         return self.inner._column(kind, index, key, basis_key)
 
-    def _coordinates(self, v):
-        return self.inner._coordinates(v)
-
-    def _vector(self, coords: dict):
-        return self.inner._vector(coords)
+    @property
+    def vector_type(self):
+        return self.inner.vector_type
 
     def components(self, v):
         return self.inner.components(v)
@@ -461,6 +451,9 @@ class EvaluationModule(Module):
 
     def window_size(self, window: int) -> int:
         return self.inner.window_size(window)
+
+    def window_cost(self, window: int) -> int:
+        return self.inner.window_cost(window)
 
     def describe(self) -> dict:
         return {
@@ -763,6 +756,9 @@ class TensorModule(Module):
 
     def window_size(self, window: int) -> int:
         return self.left.window_size(window) * self.right.window_size(window)
+
+    def window_cost(self, window: int) -> int:
+        return self.left.window_cost(window) * self.right.window_cost(window)
 
     def describe(self) -> dict:
         return {

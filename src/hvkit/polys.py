@@ -2,13 +2,14 @@
 
 Three flavours live here:
 
-* ``PolyT`` -- dense univariate polynomials in t over Q(i).  These are the
-  underlying vectors of the rank-one-free module family, where degrees stay
-  small, so a dense coefficient list is the right shape.
-* ``PolyB`` -- sparse multivariate polynomials in b_1..b_k, the coefficient
-  algebra B of the map construction.  A :class:`~hvkit.scalars.Combination`
-  keyed by exponent tuples, so sums, equality and hashing are the shared
-  ones; it adds only the polynomial product and rendering.
+* ``PolyT`` -- polynomials in t over Q(i), the vectors of the rank-one-free
+  module family: a :class:`~hvkit.scalars.Combination` keyed by degree.  It
+  adds the product, the translation ``shift``, evaluation, rendering and a
+  read-only dense view ``coeffs``.
+* ``PolyB`` -- polynomials in b_1..b_k, the coefficient algebra B of the map
+  construction: a :class:`~hvkit.scalars.Combination` keyed by exponent
+  tuples.  It adds only the product and rendering; for both, sums,
+  equality, hashing, ``coeff`` and ``is_zero`` are the shared ones.
 * ``JetQuotient`` -- the finite-dimensional quotient B/m^s at a point, with
   basis the monomials (b - mu)^r of total degree < s.  Order 1 reproduces
   plain evaluation at the point; :func:`jet_expand` is the quotient map.
@@ -54,20 +55,22 @@ def exponent_count(k: int, bound: int, budget: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# dense univariate polynomials in t
+# univariate polynomials in t
 # ---------------------------------------------------------------------------
 
 
-class PolyT(Frozen):
-    """Polynomial in t, coefficients ascending by degree, trailing zeros stripped."""
+class PolyT(Combination):
+    """Polynomial in t: a :class:`Combination` keyed by degree, built from dense
+    coefficients ``[c0, c1, ...]`` or from terms ``{n: c}``, each n an integer >= 0."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs=()):
-        cs = [scalar(c) for c in coeffs]
-        while cs and cs[-1].is_zero:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        terms = coeffs if isinstance(coeffs, dict) else dict(enumerate(coeffs))
+        for n in terms:
+            if type(n) is not int or n < 0:
+                raise DimensionMismatchError(f"degree {n!r} invalid for a polynomial in t")
+        Combination.__init__(self, terms)
 
     @classmethod
     def zero(cls):
@@ -75,98 +78,57 @@ class PolyT(Frozen):
 
     @classmethod
     def one(cls):
-        return cls((ONE,))
+        return cls({0: ONE})
 
     @classmethod
     def t_power(cls, n: int):
-        return cls((ZERO,) * n + (ONE,))
+        return cls({n: ONE})
 
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return max(self.terms, default=-1)
 
     @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    def coeffs(self) -> tuple:
+        """The dense coefficients, ascending by degree up to the leading one."""
+        return tuple(map(self.coeff, range(self.degree + 1)))
 
-    def coeff(self, n: int) -> Scalar:
-        return self.coeffs[n] if 0 <= n < len(self.coeffs) else ZERO
-
-    def __add__(self, other):
-        if not isinstance(other, PolyT):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return PolyT(out)
-
-    def __sub__(self, other):
-        if not isinstance(other, PolyT):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return PolyT(tuple(-c for c in self.coeffs))
+    # own class-dict entry: bench/spans.py wraps PolyT.__add__ by name
+    __add__ = Combination.__add__
 
     def __mul__(self, other):
         if isinstance(other, PolyT):
-            if not self.coeffs or not other.coeffs:
-                return PolyT()
-            out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a.is_zero:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
+            out: dict[int, Scalar] = {}
+            for i, a in self.terms.items():
+                for j, b in other.terms.items():
+                    out[i + j] = out.get(i + j, ZERO) + a * b
             return PolyT(out)
-        try:
-            c = scalar(other)
-        except TypeError:
-            return NotImplemented
-        return PolyT(tuple(c * a for a in self.coeffs))
+        return Combination.__mul__(self, other)
 
     __rmul__ = __mul__
 
-    def __eq__(self, other):
-        if not isinstance(other, PolyT):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def __call__(self, x) -> Scalar:
         x = scalar(x)
-        acc = ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return sum((c * x**j for j, c in self.terms.items()), ZERO)
 
     def shift(self, n: int) -> "PolyT":
         """Return f(t - n): precompose with the translation t -> t - n."""
-        if n == 0 or not self.coeffs:
+        if n == 0 or not self.terms:
             return self
-        out = [ZERO] * len(self.coeffs)
-        for j, cj in enumerate(self.coeffs):
-            if cj.is_zero:
-                continue
+        out: dict[int, Scalar] = {}
+        for j, cj in self.terms.items():
             # (t - n)^j expanded by the binomial theorem
             for i in range(j + 1):
-                out[i] = out[i] + (comb(j, i) * (-n) ** (j - i)) * cj
+                out[i] = out.get(i, ZERO) + (comb(j, i) * (-n) ** (j - i)) * cj
         return PolyT(out)
 
     def render(self) -> str:
-        if not self.coeffs:
+        if not self.terms:
             return "0"
         parts = []
-        for j in range(self.degree, -1, -1):
-            c = self.coeffs[j]
-            if c.is_zero:
-                continue
+        for j in sorted(self.terms, reverse=True):
+            c = self.terms[j]
             mono = "1" if j == 0 else ("t" if j == 1 else f"t^{j}")
             if j == 0:
                 body = render_scalar(c)

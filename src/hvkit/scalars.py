@@ -21,7 +21,8 @@ Scalars serialize as strings like ``"3"``, ``"-3/4"``, ``"1/2*i"`` or
 ``"3/4+1/2*i"``; :func:`parse_scalar` accepts the same grammar.
 
 :class:`Combination` is the one sparse linear combination over these
-scalars: algebra elements, module vectors and the polynomials ``PolyB`` are
+scalars: algebra elements, the vectors of every module family, the
+highest-weight functional and the polynomials ``PolyT`` and ``PolyB`` are
 its subclasses.
 """
 

@@ -247,7 +247,7 @@ def basis_keys(module: Module):
 def vectors(module: Module):
     """Multi-term vectors; Verma ones reach the truncation level."""
     coords = st.dictionaries(basis_keys(module), nonzero_gaussians, min_size=1, max_size=3)
-    return coords.map(module._vector)
+    return coords.map(module.vector_type)
 
 
 # ---------------------------------------------------------------------------

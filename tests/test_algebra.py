@@ -17,6 +17,8 @@ from hvkit.algebra import (
     d,
     element,
     gen_elt,
+    generator_count,
+    generators_upto,
     hv_structure,
     I,
     jacobi_antisymmetry_sweep,
@@ -232,6 +234,11 @@ def test_sweep_budget_counts_the_triples_it_would_check(index, monomial, k, monk
     monkeypatch.setattr(algebra, "MAX_SWEEP_TRIPLES", triples - 1)
     with pytest.raises(ConfigurationError, match=f"checks more than {triples - 1} triples"):
         jacobi_antisymmetry_sweep(index, monomial, k)
+
+
+@pytest.mark.parametrize("index", range(-3, 13))
+def test_generator_count_counts_the_listing(index):
+    assert generator_count(index) == len(generators_upto(index))
 
 
 def test_sweep_refuses_past_the_budget_before_building_tables():

@@ -194,10 +194,32 @@ def test_window_size_counts_the_listing(name):
 def test_window_budget_boundary():
     line, omega = WINDOW_MODULES["intermediate"], WINDOW_MODULES["omega"]
     assert analysis._window_size(line, 49_999) == 99_999
-    assert analysis._window_size(omega, MAX_WINDOW_VECTORS - 1) == MAX_WINDOW_VECTORS
-    for module, window in ((line, 50_000), (omega, MAX_WINDOW_VECTORS)):
+    # an Ω window of degree w weighs its (w + 1)(w + 2)/2 image coefficients
+    assert analysis._window_size(omega, 445) == 446
+    for module, window in ((line, 50_000), (omega, 446)):
         with pytest.raises(ConfigurationError, match=f"more than {MAX_WINDOW_VECTORS} to list"):
             analysis._window_size(module, window)
+
+
+@pytest.mark.parametrize("name", sorted(WINDOW_MODULES))
+def test_window_cost_is_the_size_except_on_omega(name):
+    module = WINDOW_MODULES[name]
+    for window in range(-3, 5):
+        n = module.window_size(window)
+        assert module.window_cost(window) == (n * (n + 1) // 2 if name == "omega" else n), window
+
+
+def test_omega_weighs_its_coefficients_inside_wrappers():
+    omega = OmegaModule(2, 0, (), 0)
+    wrapped = EvaluationModule(JetQuotient((Scalar(2),), 1), omega)
+    assert analysis._window_size(wrapped, 445) == 446
+    with pytest.raises(ConfigurationError, match=r"window 446 has 447 vectors, .* \(weighed as 100128,"):
+        analysis._window_size(wrapped, 446)
+    # (2w + 1) lines times (w + 1)(w + 2)/2: 98,371 at w = 45, 104,904 at w = 46
+    tensor = TensorModule(IntermediateSeries(HALF, 0, 1), omega)
+    assert analysis._window_size(tensor, 45) == 91 * 46
+    with pytest.raises(ConfigurationError, match=r"\(weighed as 104904,"):
+        analysis._window_size(tensor, 46)
 
 
 def _no_listing(*_args):

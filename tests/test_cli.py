@@ -445,6 +445,17 @@ def test_a_huge_window_exits_2_before_it_is_listed(tmp_path, capsys, config):
     assert captured.err.count("\n") == 1
 
 
+def test_an_omega_window_is_budgeted_by_its_coefficients(tmp_path, capsys):
+    config = {"command": "probe-irreducible", "module": OMEGA, "bounds": {"window": 100_000}}
+    assert _run_main(tmp_path, config) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "config error: window 100000 has 100001 vectors, more than 100000 to list"
+        " (weighed as 5000150001, each t^j as j + 1)\n"
+    )
+
+
 @pytest.mark.parametrize(
     "text",
     [

@@ -42,7 +42,7 @@ VALUES = {
     "PBWVector": (PBWVector.highest_weight(), "terms"),
     "TensorVector": (TensorVector.pure(0, 1), "terms"),
     "HighestWeightFunctional": (PHI, "terms"),
-    "PolyT": (PolyT([1, 2]), "coeffs"),
+    "PolyT": (PolyT([1, 2]), "terms"),
     "JetQuotient": (JET, "order"),
     "PolynomialCoefficients": (PolynomialCoefficients(2), "k"),
     "QuotientCoefficients": (QUOTIENT, "quotients"),
