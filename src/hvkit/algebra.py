@@ -144,6 +144,10 @@ class PolynomialCoefficients(Frozen):
             raise ConfigurationError(f"C[b_1..b_{self.k}] has no finite basis")
         return [()]
 
+    @property
+    def dimension(self) -> int:
+        return len(self.basis_keys())
+
     def project(self, p: PolyB) -> dict:
         """Image of a polynomial: its own terms."""
         if p.k != self.k:
@@ -206,7 +210,13 @@ class QuotientCoefficients(Frozen):
         return tuple(((i, (0,) * self.k), ONE) for i in range(len(self.quotients)))
 
     def keys_upto(self, bound: int) -> list:
-        return [(i, r) for (i, r) in self.basis_keys() if sum(r) <= bound]
+        """The basis keys of total degree <= bound, without listing the rest."""
+        return [
+            (i, r)
+            for i, q in enumerate(self.quotients)
+            for r in exponents_upto(q.k, min(bound, q.order - 1))
+            if sum(r) <= bound  # drops the k = 0 key () when bound < 0
+        ]
 
     def project(self, p: PolyB) -> dict:
         """Image of a polynomial: jet-expand at every point.  A ring map."""

@@ -5,9 +5,13 @@ against double actions, probes hunt for invariant subspaces inside a finite
 window, and one level builder (``_reduced_levels``) yields the maximal
 submodule of a Verma module level by level, which singular slices and the
 PBW-order spot-check both read.  Operators come from one generator list
-(``algebra.generators_upto``) and one constructor (``_decorated``).  A
-reducibility witness is conclusive; a "window-irreducible" verdict is a
-bounded-scope certificate, never a proof.
+(``algebra.generators_upto``) and one constructor (``_decorated``); windows
+come from one budgeted listing of basis keys (``Module.window_keys``), and
+a vector is built from a key only where it is acted on.  Work is counted
+before it starts and refused past a budget (``MAX_AXIOM_TRIPLES``,
+``MAX_BUILDER_READS``, and the module layer's ``MAX_WINDOW_VECTORS`` and
+``MAX_LEVEL_MONOMIALS``).  A reducibility witness is conclusive; a
+"window-irreducible" verdict is a bounded-scope certificate, never a proof.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .errors import (
 )
 from .linalg import sparse_kernel, sparse_rref
 from .modules import (
+    MAX_WINDOW_VECTORS,  # noqa: F401 (re-exported: the window budget that window_keys applies)
     EvaluationModule,
     IntermediateSeries,
     Module,
@@ -74,19 +79,6 @@ def unit_element(coeffs, g: Generator) -> AlgebraElement:
     return _decorated(coeffs, g, dict(coeffs.unit_keys()))
 
 
-MAX_WINDOW_VECTORS = 100_000  # the most a window may weigh (``Module.window_cost``) in one command
-
-
-def _window_size(module: Module, window: int) -> int:
-    """``module.window_size(window)``, refused (ConfigurationError) before
-    anything is listed when ``module.window_cost(window)`` passes MAX_WINDOW_VECTORS."""
-    size, cost = module.window_size(window), module.window_cost(window)
-    if cost > MAX_WINDOW_VECTORS:
-        weight = "" if cost == size else f" (weighed as {cost}, each t^j as j + 1)"
-        raise ConfigurationError(f"window {window} has {size} vectors, more than {MAX_WINDOW_VECTORS} to list{weight}")
-    return size
-
-
 def algebra_generator_elements(coeffs, index_bound: int, monomial_bound: int) -> list:
     """Single-term homogeneous elements within the sweep bounds.
 
@@ -103,6 +95,7 @@ def algebra_generator_elements(coeffs, index_bound: int, monomial_bound: int) ->
 
 
 MAX_AXIOM_TRIPLES = 5_000_000  # the most operator pairs, and pairs x window vectors, one sweep may check
+MAX_VIOLATION_SAMPLES = 50  # the most violations an axiom-sweep report keeps (it counts them all)
 
 
 @dataclass
@@ -139,7 +132,6 @@ def axiom_sweep(
     monomial_bound: int = 2,
     window: int = 4,
     order_seed: int | None = None,
-    max_violations: int = 50,
 ) -> AxiomSweepReport:
     """Check act([x,y], v) = act(x, act(y, v)) - act(y, act(x, v)) exactly.
 
@@ -148,9 +140,12 @@ def axiom_sweep(
     from the swept one because the bracket engine's antisymmetry is checked
     exhaustively elsewhere.  A Verma truncation overflow inside a triple is
     recorded as inconclusive for that triple, never as a violation.  More than
-    ``MAX_AXIOM_TRIPLES`` operator pairs, or pairs times window vectors (both
-    counted before any operator is built or vector listed), is refused with
-    ``ConfigurationError``.
+    ``MAX_AXIOM_TRIPLES`` operator pairs (counted before anything is built),
+    a window past its budget (refused by ``window_keys`` before it is listed),
+    or pairs times window vectors past ``MAX_AXIOM_TRIPLES`` (before any
+    operator is built) is refused with ``ConfigurationError``, in that order.
+    The report counts every violation and keeps the least
+    ``MAX_VIOLATION_SAMPLES`` of them.
     """
     coeffs = module.algebra()
     sweep = f"an axiom sweep over index {index_bound}, monomial {monomial_bound}"
@@ -162,11 +157,12 @@ def axiom_sweep(
     npairs = nops * (nops - 1) // 2
     if npairs > MAX_AXIOM_TRIPLES:
         raise ConfigurationError(f"{sweep} has more than {MAX_AXIOM_TRIPLES} operator pairs")
-    if npairs * _window_size(module, window) > MAX_AXIOM_TRIPLES:
+    keys = module.window_keys(window)
+    if npairs * len(keys) > MAX_AXIOM_TRIPLES:
         raise ConfigurationError(f"{sweep}, window {window} checks more than {MAX_AXIOM_TRIPLES} triples")
     report = AxiomSweepReport(index_bound, monomial_bound, window)
     ops = algebra_generator_elements(coeffs, index_bound, monomial_bound)
-    basis = module.window_basis(window)
+    basis = [module.basis_vector(key) for key in keys]
     pairs = [(i, j) for i in range(len(ops)) for j in range(i + 1, len(ops))]
     if order_seed is not None:
         random.Random(order_seed).shuffle(pairs)
@@ -179,7 +175,7 @@ def axiom_sweep(
         hit = acted.get(key)
         if hit is None:
             try:
-                hit = module.act(ops[oi], basis[vi][1])
+                hit = module.act(ops[oi], basis[vi])
             except LevelOverflowError:
                 hit = _OVERFLOW
             acted[key] = hit
@@ -187,7 +183,7 @@ def axiom_sweep(
 
     for i, j in pairs:
         xy = bracket(ops[i], ops[j])
-        for vi, (label, v) in enumerate(basis):
+        for vi, (key, v) in enumerate(zip(keys, basis)):
             report.triples_checked += 1
             try:
                 wy = act_on_basis(j, vi)
@@ -198,16 +194,16 @@ def axiom_sweep(
                 rhs = module.act(ops[i], wy) - module.act(ops[j], wx)
             except LevelOverflowError:
                 report.inconclusive.append(
-                    (ops[i].render(), ops[j].render(), str(label))
+                    (ops[i].render(), ops[j].render(), str(key))
                 )
                 continue
             if lhs != rhs:
                 report.violations.append(
-                    (ops[i].render(), ops[j].render(), str(label))
+                    (ops[i].render(), ops[j].render(), str(key))
                 )
     report.violations_found = len(report.violations)
     report.violations.sort()
-    del report.violations[max_violations:]
+    del report.violations[MAX_VIOLATION_SAMPLES:]
     report.inconclusive.sort()
     return report
 
@@ -226,27 +222,19 @@ def weight_table(module: Module, window: int = 4) -> dict:
     basis vectors are not (the rank-one free family, say, where d_0 is
     multiplication by t) raises :class:`UnsupportedModuleError`.
     """
-    _window_size(module, window)
+    keys = module.window_keys(window)
     coeffs = module.algebra()
     ops = [unit_element(coeffs, g) for g in _WEIGHT_GENS]
     table: dict[WeightTuple, int] = {}
-    for label, v in module.window_basis(window):
-        comps = list(module.components(v))
-        key0, c0 = comps[0]
+    for key in keys:
+        v = module.basis_vector(key)
         evs = []
         for op in ops:
             w = module.act(op, v)
-            if w.is_zero:
-                evs.append(ZERO)
-                continue
-            ev = None
-            for wk, wc in module.components(w):
-                if wk == key0:
-                    ev = wc / c0
-                    break
-            if ev is None or w != ev * v:
+            ev = w.coeff(key)
+            if w != ev * v:
                 raise UnsupportedModuleError(
-                    f"basis vector {label} is not a joint eigenvector; "
+                    f"basis vector {key} is not a joint eigenvector; "
                     "weight tables need a weight module"
                 )
             evs.append(ev)
@@ -280,7 +268,7 @@ class WindowReport:
         }
 
 
-def _line_probe(module: Module, window: int, operator_bound: int) -> WindowReport:
+def _line_probe(module: Module, window: int, lines: list, operator_bound: int) -> WindowReport:
     coeffs = module.algebra()
     # (shift, operator): d_i then I_i for each nonzero |i| <= operator_bound
     ops = [
@@ -289,8 +277,6 @@ def _line_probe(module: Module, window: int, operator_bound: int) -> WindowRepor
         if i != 0
         for g in (d, I)
     ]
-    lines = [label for label, _v in module.window_basis(window)]
-
     dead = [k for k in lines if all(module.act(op, module.basis_vector(k)).is_zero for _i, op in ops)]
     if dead:
         return WindowReport(
@@ -315,7 +301,7 @@ def _line_probe(module: Module, window: int, operator_bound: int) -> WindowRepor
     return WindowReport(window, operator_bound, "window-irreducible")
 
 
-def _omega_probe(module: OmegaModule, window: int, operator_bound: int) -> WindowReport:
+def _omega_probe(module: OmegaModule, window: int, degrees: list, operator_bound: int) -> WindowReport:
     coeffs = module.algebra()
     ops = [
         _decorated(coeffs, g, {key: ONE})
@@ -325,8 +311,9 @@ def _omega_probe(module: OmegaModule, window: int, operator_bound: int) -> Windo
     ]
     # the degree-shifted subspace t*C[t]: closed iff no action reintroduces constants
     if all(
-        module.act(op, tj).coeff(0).is_zero
-        for tj in map(PolyT.t_power, range(1, window + 1))
+        module.act(op, module.basis_vector(j)).coeff(0).is_zero
+        for j in degrees
+        if j
         for op in ops
     ):
         return WindowReport(
@@ -349,13 +336,13 @@ def probe_irreducible(module: Module, window: int = 4, operator_bound: int = 3) 
     """
     if window < 1 or operator_bound < 1:
         raise ConfigurationError("window and operator bound must be >= 1")
-    _window_size(module, window)
+    keys = module.window_keys(window)
     if isinstance(module, OmegaModule):
-        return _omega_probe(module, window, operator_bound)
+        return _omega_probe(module, window, keys, operator_bound)
     if isinstance(module, IntermediateSeries):
-        return _line_probe(module, window, operator_bound)
+        return _line_probe(module, window, keys, operator_bound)
     if isinstance(module, EvaluationModule) and isinstance(module.inner, IntermediateSeries):
-        return _line_probe(module, window, operator_bound)
+        return _line_probe(module, window, keys, operator_bound)
     raise UnsupportedModuleError(
         f"no reducibility probe for the {module.family} family"
     )
@@ -394,6 +381,9 @@ def _raising_words(factors: list, degree: int) -> list:
     ]
 
 
+MAX_BUILDER_READS = 1_000_000  # the most columns one level-builder pass may read
+
+
 def _reduced_levels(module: TruncatedVerma, level: int, raising: str):
     """Yield R_0, R_1, ..., R_level: the level builder of the maximal submodule.
 
@@ -406,9 +396,17 @@ def _reduced_levels(module: TruncatedVerma, level: int, raising: str):
     coordinates of e.u, one factor e acting once on each basis monomial u,
     read straight from the module's column (the straightening of e.u); their
     exact elimination gives R_m.  This is the package's one call site of
-    ``sparse_rref``, one call per level m >= 1.
+    ``sparse_rref``, one call per level m >= 1.  The reads, one column per
+    factor of index <= m and monomial of V_m at each level m, are counted
+    before the first, and more than ``MAX_BUILDER_READS`` is refused with
+    ConfigurationError.
     """
     factors = _raising_factors(module, level, raising)
+    reads = sum(sum(f[1] <= m for f in factors) * module.level_dimension(m) for m in range(1, level + 1))
+    if reads > MAX_BUILDER_READS:
+        raise ConfigurationError(
+            f"the level builder up to level {level} reads {reads} columns, more than {MAX_BUILDER_READS}"
+        )
     column = module._column
     # quotient coordinates by level: coords[m][mono] = {row of R_m: coefficient}
     coords: list = []
@@ -715,12 +713,11 @@ def annihilator_probe(
     if not isinstance(coeffs, PolynomialCoefficients):
         raise UnsupportedModuleError("annihilator probes run over the polynomial map algebra")
     report = AnnihilatorReport(window, index_bound)
-    _window_size(module, window)
-    basis = module.window_basis(window)
+    basis = [module.basis_vector(key) for key in module.window_keys(window)]
     for p in generators:
         image = coeffs.project(p)
         ops = [_decorated(coeffs, g, image) for g in generators_upto(index_bound)]
-        ann = all(module.act(x, v).is_zero for x in ops if not x.is_zero for _label, v in basis)
+        ann = all(module.act(x, v).is_zero for x in ops if not x.is_zero for v in basis)
         report.entries.append((p.render(), ann))
     return report
 

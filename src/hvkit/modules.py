@@ -36,6 +36,12 @@ of the family's ``vector_type``: weight lines, degrees in t (``PolyT``), PBW
 monomials or key pairs of a tensor.  The highest-weight functional is one
 keyed by (slot, coefficient key).
 
+Sweeps and probes run over a window of basis keys, and :meth:`Module.window_keys`
+is its one listing: it counts the window first (``window_size``, and
+``window_cost``, where an Ω vector t^j weighs its j + 1 image coefficients),
+refuses one past ``MAX_WINDOW_VECTORS`` before listing anything, and then
+returns the family's ``_window_keys``.
+
 A handle is :class:`~hvkit.scalars.Frozen`, but it is not stateless: it fills
 unbounded memo caches as it acts (``OmegaModule._term_cache``,
 ``TruncatedVerma._cache`` and ``_level_cache``,
@@ -133,6 +139,8 @@ class TensorVector(Combination):
 # base handle
 # ---------------------------------------------------------------------------
 
+MAX_WINDOW_VECTORS = 100_000  # the most a window may weigh (``Module.window_cost``) in one command
+
 
 class Module(Frozen):
     __slots__ = ()
@@ -164,22 +172,25 @@ class Module(Frozen):
         """((generator, key), coefficient) pairs the column is extended over."""
         return x.terms.items()
 
-    def zero_vector(self):
-        return self.vector_type({})
-
     def basis_vector(self, key):
         return self.vector_type({key: ONE})
 
-    def components(self, v):
-        """Decompose a vector into (basis key, coefficient) pairs."""
-        return sorted(v.terms.items())
+    def window_keys(self, window: int) -> list:
+        """The basis keys of the window that sweeps and probes run over.  Counted
+        first, and refused (ConfigurationError) before anything is listed when
+        ``window_cost`` passes MAX_WINDOW_VECTORS."""
+        size, cost = self.window_size(window), self.window_cost(window)
+        if cost > MAX_WINDOW_VECTORS:
+            weight = "" if cost == size else f" (weighed as {cost}, each t^j as j + 1)"
+            raise ConfigurationError(f"window {window} has {size} vectors, more than {MAX_WINDOW_VECTORS} to list{weight}")
+        return self._window_keys(window)
 
-    def window_basis(self, window: int):
-        """Finite list of (key, basis vector) pairs used by sweeps and probes."""
+    def _window_keys(self, window: int) -> list:
+        """The window's basis keys, unbudgeted: the family's listing."""
         raise NotImplementedError
 
     def window_size(self, window: int) -> int:
-        """``len(self.window_basis(window))``, counted without listing it."""
+        """``len(self._window_keys(window))``, counted without listing it."""
         raise NotImplementedError
 
     def window_cost(self, window: int) -> int:
@@ -255,12 +266,8 @@ class IntermediateSeries(Module):
             return ()
         return ((tgt, w),)
 
-    def window_basis(self, window: int):
-        return [
-            (k, WeightVector.line(k))
-            for k in range(-window, window + 1)
-            if k != self.drop_line
-        ]
+    def _window_keys(self, window: int) -> list:
+        return [k for k in range(-window, window + 1) if k != self.drop_line]
 
     def window_size(self, window: int) -> int:
         dropped = self.drop_line is not None and -window <= self.drop_line <= window
@@ -346,8 +353,8 @@ class OmegaModule(Module):
             self._term_cache[key] = hit
         return hit
 
-    def window_basis(self, window: int):
-        return [(j, PolyT.t_power(j)) for j in range(window + 1)]
+    def _window_keys(self, window: int) -> list:
+        return list(range(window + 1))
 
     def window_size(self, window: int) -> int:
         return max(window + 1, 0)
@@ -443,11 +450,8 @@ class EvaluationModule(Module):
     def vector_type(self):
         return self.inner.vector_type
 
-    def components(self, v):
-        return self.inner.components(v)
-
-    def window_basis(self, window: int):
-        return self.inner.window_basis(window)
+    def _window_keys(self, window: int) -> list:
+        return self.inner._window_keys(window)
 
     def window_size(self, window: int) -> int:
         return self.inner.window_size(window)
@@ -664,7 +668,7 @@ class TruncatedVerma(Module):
             raise ConfigurationError(f"level must be >= 0, got {level}")
         if level > self.max_level:
             raise LevelOverflowError(f"level {level} exceeds truncation level {self.max_level}")
-        kinds = 2 * len(self.coefficient_keys())
+        kinds = 2 * self.coeffs.dimension
         counts, sigma = [1], [0]  # sigma[k]: K times the divisor sum of k
         for m in range(1, level + 1):
             sigma.append(kinds * sum(j for j in range(1, m + 1) if m % j == 0))
@@ -676,12 +680,8 @@ class TruncatedVerma(Module):
                 )
         return counts[level]
 
-    def window_basis(self, window: int):
-        out = []
-        for level in range(min(window, self.max_level) + 1):
-            for mono in self.level_monomials(level):
-                out.append((mono, PBWVector({mono: ONE})))
-        return out
+    def _window_keys(self, window: int) -> list:
+        return [mono for level in range(min(window, self.max_level) + 1) for mono in self.level_monomials(level)]
 
     def window_size(self, window: int) -> int:
         return sum(self.level_dimension(level) for level in range(min(window, self.max_level) + 1))
@@ -743,16 +743,9 @@ class TensorModule(Module):
             return [((k2, rk), c) for k2, c in self.left._column(kind, index, key, lk)]
         return [((lk, k2), c) for k2, c in self.right._column(kind, index, key, rk)]
 
-    def components(self, v: TensorVector):
-        return sorted(v.terms.items(), key=lambda item: str(item[0]))
-
-    def window_basis(self, window: int):
-        out = []
-        for lk, _lv in self.left.window_basis(window):
-            for rk, _rv in self.right.window_basis(window):
-                key = (lk, rk)
-                out.append((key, TensorVector({key: ONE})))
-        return out
+    def _window_keys(self, window: int) -> list:
+        right = self.right._window_keys(window)
+        return [(lk, rk) for lk in self.left._window_keys(window) for rk in right]
 
     def window_size(self, window: int) -> int:
         return self.left.window_size(window) * self.right.window_size(window)
@@ -872,7 +865,9 @@ def module_from_descriptor(data: dict) -> Module:
                 key = ()
             else:
                 key = (point, exp)
-                if key not in set(coeffs.basis_keys()):
+                # a basis key of the quotient, checked without listing the basis
+                q = coeffs.quotients[point] if 0 <= point < len(coeffs.quotients) else None
+                if q is None or len(exp) != q.k or min(exp, default=0) < 0 or sum(exp) >= q.order:
                     raise ConfigurationError(f"{path}: key {key} outside the quotient basis")
             values[(slot, key)] = parse_scalar(entry["value"])
         return TruncatedVerma(

@@ -30,19 +30,15 @@ PointB = tuple[Scalar, ...]
 
 
 def exponents_upto(k: int, bound: int) -> list[MonomialExp]:
-    """All exponent k-tuples r with |r| <= bound, sorted by (|r|, r)."""
+    """All exponent k-tuples r with |r| <= bound, sorted by (|r|, r), in time
+    linear in their number (times k)."""
     if k == 0:
         return [()]
-    out = []
-    for total in range(bound + 1):
-        for cuts in itertools.combinations(range(total + k - 1), k - 1):
-            prev, exps = -1, []
-            for c in cuts:
-                exps.append(c - prev - 1)
-                prev = c
-            exps.append(total + k - 2 - prev)
-            out.append(tuple(exps))
-    return out
+    # by_total[t]: the j-tuples of total t in ascending order, for j = 1, ..., k
+    by_total = [[(t,)] for t in range(bound + 1)]
+    for _ in range(k - 1):
+        by_total = [[(f,) + rest for f in range(t + 1) for rest in by_total[t - f]] for t in range(bound + 1)]
+    return [r for level in by_total for r in level]
 
 
 def exponent_count(k: int, bound: int, budget: int) -> int:
@@ -285,7 +281,8 @@ class JetQuotient(Frozen):
 
     @property
     def dimension(self) -> int:
-        return len(self.basis())
+        """``len(self.basis())``, counted without listing it."""
+        return comb(self.order - 1 + self.k, self.k)
 
     def multiply_exps(self, r: MonomialExp, s: MonomialExp) -> MonomialExp | None:
         """Product of two basis monomials, or None if it truncates to zero."""

@@ -148,11 +148,11 @@ def _ref_tensor(self, x: AlgebraElement, v: TensorVector) -> TensorVector:
     out: dict = {}
     for (lk, rk), c in v.terms.items():
         lw = reference_act(self.left, x, self.left.basis_vector(lk))
-        for k2, c2 in self.left.components(lw):
+        for k2, c2 in lw.terms.items():
             key = (k2, rk)
             out[key] = out.get(key, ZERO) + c * c2
         rw = reference_act(self.right, x, self.right.basis_vector(rk))
-        for k2, c2 in self.right.components(rw):
+        for k2, c2 in rw.terms.items():
             key = (lk, k2)
             out[key] = out.get(key, ZERO) + c * c2
     return TensorVector(out)

@@ -98,6 +98,16 @@ def test_axiom_sweep_catches_corrupted_action():
     assert report.violations
 
 
+def test_axiom_sweep_keeps_the_least_violations_and_counts_them_all(monkeypatch):
+    bad = _OffByOneOmega(2, 3, (Scalar(1),), 0)
+    full = axiom_sweep(bad, 2, 1, window=1)
+    assert (full.violations_found, len(full.violations)) == (80, analysis.MAX_VIOLATION_SAMPLES)
+    monkeypatch.setattr(analysis, "MAX_VIOLATION_SAMPLES", 3)
+    kept = axiom_sweep(bad, 2, 1, window=1)
+    assert kept.violations_found == full.violations_found
+    assert kept.violations == full.violations[:3]
+
+
 def test_axiom_sweep_seed_does_not_change_findings():
     bad = _OffByOneOmega(2, 1, (Scalar(1),), 1)
     a = axiom_sweep(bad, 2, 1, window=2, order_seed=1)
@@ -188,17 +198,17 @@ WINDOW_MODULES = {
 def test_window_size_counts_the_listing(name):
     module = WINDOW_MODULES[name]
     for window in range(-1, 5):
-        assert module.window_size(window) == len(module.window_basis(window)), window
+        assert module.window_size(window) == len(module.window_keys(window)), window
 
 
 def test_window_budget_boundary():
     line, omega = WINDOW_MODULES["intermediate"], WINDOW_MODULES["omega"]
-    assert analysis._window_size(line, 49_999) == 99_999
+    assert len(line.window_keys(49_999)) == 99_999
     # an Ω window of degree w weighs its (w + 1)(w + 2)/2 image coefficients
-    assert analysis._window_size(omega, 445) == 446
+    assert len(omega.window_keys(445)) == 446
     for module, window in ((line, 50_000), (omega, 446)):
         with pytest.raises(ConfigurationError, match=f"more than {MAX_WINDOW_VECTORS} to list"):
-            analysis._window_size(module, window)
+            module.window_keys(window)
 
 
 @pytest.mark.parametrize("name", sorted(WINDOW_MODULES))
@@ -212,14 +222,14 @@ def test_window_cost_is_the_size_except_on_omega(name):
 def test_omega_weighs_its_coefficients_inside_wrappers():
     omega = OmegaModule(2, 0, (), 0)
     wrapped = EvaluationModule(JetQuotient((Scalar(2),), 1), omega)
-    assert analysis._window_size(wrapped, 445) == 446
+    assert len(wrapped.window_keys(445)) == 446
     with pytest.raises(ConfigurationError, match=r"window 446 has 447 vectors, .* \(weighed as 100128,"):
-        analysis._window_size(wrapped, 446)
+        wrapped.window_keys(446)
     # (2w + 1) lines times (w + 1)(w + 2)/2: 98,371 at w = 45, 104,904 at w = 46
     tensor = TensorModule(IntermediateSeries(HALF, 0, 1), omega)
-    assert analysis._window_size(tensor, 45) == 91 * 46
+    assert len(tensor.window_keys(45)) == 91 * 46
     with pytest.raises(ConfigurationError, match=r"\(weighed as 104904,"):
-        analysis._window_size(tensor, 46)
+        tensor.window_keys(46)
 
 
 def _no_listing(*_args):
@@ -237,7 +247,8 @@ def _no_listing(*_args):
     ids=["weights", "probe-irreducible", "check-axioms", "annihilator"],
 )
 def test_a_huge_window_is_refused_before_it_is_listed(monkeypatch, call):
-    monkeypatch.setattr(IntermediateSeries, "window_basis", _no_listing)
+    for family in (IntermediateSeries, OmegaModule, EvaluationModule, TruncatedVerma, TensorModule):
+        monkeypatch.setattr(family, "_window_keys", _no_listing)
     with pytest.raises(ConfigurationError, match=f"window 100000000 has 200000001 vectors, more than {MAX_WINDOW_VECTORS}"):
         call(IntermediateSeries(HALF, 0, 1))
 
@@ -541,6 +552,36 @@ def test_singular_vectors_refuses_a_negative_level_before_listing():
     with pytest.raises(ConfigurationError, match="level must be >= 0"):
         singular_vectors(M, -1)
     assert -1 not in M._level_cache
+
+
+def _builder_reads(module, level, factor_indices):
+    """Columns the level builder reads: each factor of index <= m on each monomial of V_m."""
+    return sum(
+        sum(i <= m for i in factor_indices) * module.level_dimension(m) for m in range(1, level + 1)
+    )
+
+
+@pytest.mark.parametrize("raising", ["generators", "full"])
+def test_the_level_builder_counts_its_reads_before_the_first(monkeypatch, raising):
+    # two coefficient keys; d_1, I_1, d_2 on each, or d_i, I_i for i <= 3 on each
+    indices = [1, 1, 2] * 2 if raising == "generators" else [i for i in (1, 2, 3) for _ in range(4)]
+    module = TruncatedVerma(HighestWeightFunctional.zero(), _b2(), max_level=3)
+    reads = _builder_reads(module, 3, indices)
+    monkeypatch.setattr(analysis, "MAX_BUILDER_READS", reads)
+    assert len(singular_vectors(module, 3, raising)) == module.level_dimension(3)  # phi = 0: all of V_3
+    monkeypatch.setattr(analysis, "MAX_BUILDER_READS", reads - 1)
+    monkeypatch.setattr(TruncatedVerma, "_column", _no_listing)
+    with pytest.raises(ConfigurationError, match=f"level 3 reads {reads} columns, more than {reads - 1}$"):
+        singular_vectors(module, 3, raising)
+
+
+def test_the_builder_budget_has_headroom_over_the_largest_listed_pass():
+    """``tools/singular_levels.py --max-level 6`` (the README's run) is the largest builder
+    pass listed anywhere: 5,926 reads; the budget is over ten times that."""
+    module = TruncatedVerma(HighestWeightFunctional.zero(), _b2(), max_level=6)
+    reads = _builder_reads(module, 6, [1, 1, 2] * 2)
+    assert reads == 5_926
+    assert analysis.MAX_BUILDER_READS >= 10 * reads
 
 
 def test_pbw_spotcheck_passes():

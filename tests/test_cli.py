@@ -419,6 +419,35 @@ def test_work_past_the_budget_exits_2(tmp_path, capsys, config, diagnostic):
     assert captured.err.count("\n") == 1
 
 
+def _jet_verma(order: int) -> dict:
+    return {
+        "family": "verma",
+        "quotients": [{"point": ["0"], "order": order}],
+        "max_level": 2,
+        "phi": [{"gen": "d0", "point": 0, "exp": [order - 1], "value": "1"}],
+    }
+
+
+@pytest.mark.parametrize(
+    "order,diagnostic",
+    [
+        (100_000, "config error: level 1 has more than 100000 PBW monomials (level 1 has 200000), too many to list"),
+        (100_000_000,
+         "config error: level 1 has more than 100000 PBW monomials (level 1 has 200000000), too many to list"),
+        (5_000, "config error: the level builder up to level 1 reads 100000000 columns, more than 1000000"),
+    ],
+    ids=["order-100000", "order-100000000", "order-5000-builder"],
+)
+def test_a_large_jet_quotient_exits_2_before_it_is_listed(tmp_path, capsys, order, diagnostic):
+    config = {"command": "singular-vectors", "module": _jet_verma(order), "bounds": {"level": 1}}
+    start = time.perf_counter()
+    assert _run_main(tmp_path, config) == 2
+    assert time.perf_counter() - start < 2.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == diagnostic + "\n"
+
+
 HALF_LINE = {"family": "intermediate", "alpha": "1/2", "beta": "0", "F": "1"}
 HUGE = {"window": 100_000_000}
 

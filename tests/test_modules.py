@@ -71,11 +71,11 @@ def test_degenerate_module_kills_line_zero():
 
 def test_primed_subquotient_axiom():
     V = IntermediateSeries.primed_zero()
-    assert all(k != 0 for k, _v in V.window_basis(3))
+    assert all(k != 0 for k in V.window_keys(3))
     ops = [gen_elt(HV, d(n)) for n in range(-3, 4)] + [gen_elt(HV, I(n)) for n in range(-3, 4)]
     for x in ops:
         for y in ops:
-            for k, v in V.window_basis(3):
+            for v in map(V.basis_vector, V.window_keys(3)):
                 lhs = V.act(bracket(x, y), v)
                 rhs = V.act(x, V.act(y, v)) - V.act(y, V.act(x, v))
                 assert lhs == rhs
@@ -461,9 +461,9 @@ def test_tensor_leibniz():
     lw = T.left.act(x, T.left.basis_vector(()))
     rw = T.right.act(x, T.right.basis_vector(()))
     expect = {}
-    for key, c in T.left.components(lw):
+    for key, c in lw.terms.items():
         expect[(key, ())] = c
-    for key, c in T.right.components(rw):
+    for key, c in rw.terms.items():
         expect[((), key)] = expect.get(((), key), ZERO) + c
     assert out == TensorVector(expect)
 
@@ -515,3 +515,48 @@ def test_descriptor_rejects_unknown_fields():
         module_from_descriptor({"family": "nope"})
     with pytest.raises(ConfigurationError):
         module_from_descriptor({"family": "intermediate", "alpha": "0", "beta": "0"})
+
+
+def _jet_verma(order: int, point: int, exp: list):
+    return {
+        "family": "verma",
+        "quotients": [{"point": ["0"], "order": order}, {"point": ["1"], "order": 2}],
+        "phi": [{"gen": "d0", "point": point, "exp": exp, "value": "1"}],
+    }
+
+
+@pytest.mark.parametrize(
+    "point,exp",
+    [(2, [0]), (-1, [0]), (0, []), (0, [0, 0]), (0, [-1]), (0, [3]), (1, [2])],
+    ids=["point-past-the-quotients", "negative-point", "short-exp", "long-exp", "negative-exp",
+         "degree-past-the-order", "degree-past-the-second-order"],
+)
+def test_a_phi_key_outside_the_quotient_basis_is_refused(point, exp):
+    with pytest.raises(ConfigurationError, match=r"verma.phi\[0\]: key .* outside the quotient basis"):
+        module_from_descriptor(_jet_verma(3, point, exp))
+
+
+def test_phi_keys_are_checked_without_listing_the_quotient_basis(monkeypatch):
+    for point, exp in ((0, [0]), (0, [2]), (1, [1])):
+        module = module_from_descriptor(_jet_verma(3, point, exp))
+        assert module.phi("d0", (point, tuple(exp))) == ONE
+        assert (point, tuple(exp)) in module.coefficient_keys()
+
+    def no_listing(*_args):
+        raise AssertionError("the quotient basis was listed")
+
+    monkeypatch.setattr(JetQuotient, "basis", no_listing)
+    module = module_from_descriptor(_jet_verma(10**8, 0, [10**8 - 1]))
+    assert module.coeffs.dimension == 10**8 + 2
+    assert module.coeffs.keys_upto(1) == [(0, (0,)), (0, (1,)), (1, (0,)), (1, (1,))]
+
+
+def test_quotient_keys_upto_is_the_prefix_of_the_basis():
+    for orders in ((1,), (3,), (2, 4)):
+        for k in (0, 1, 2)[len(orders) > 1:]:  # k = 0 has the one point ()
+            quotients = [JetQuotient((Scalar(i),) * k, order) for i, order in enumerate(orders)]
+            coeffs = QuotientCoefficients(quotients)
+            for bound in range(-1, 6):
+                want = [key for key in coeffs.basis_keys() if sum(key[1]) <= bound]
+                assert coeffs.keys_upto(bound) == want, (orders, k, bound)
+

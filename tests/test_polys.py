@@ -1,3 +1,5 @@
+import itertools
+import time
 from fractions import Fraction
 from math import factorial
 
@@ -192,6 +194,31 @@ def test_exponents_upto():
     assert exponents_upto(0, 3) == [()]
     assert exponents_upto(2, 1) == [(0, 0), (0, 1), (1, 0)]
     assert len(exponents_upto(2, 2)) == 6
+
+
+def test_exponents_upto_lists_every_tuple_once_in_total_then_lexicographic_order():
+    for k in range(1, 5):
+        for bound in range(-2, 6):
+            want = sorted(
+                (r for r in itertools.product(range(max(bound, 0) + 1), repeat=k) if sum(r) <= bound),
+                key=lambda r: (sum(r), r),
+            )
+            assert exponents_upto(k, bound) == want, (k, bound)
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_jet_quotient_dimension_counts_the_basis(k):
+    for order in range(1, 7):
+        q = JetQuotient((ZERO,) * k, order)
+        assert q.dimension == len(q.basis())
+
+
+def test_a_large_jet_quotient_is_counted_and_listed_fast():
+    start = time.perf_counter()
+    assert JetQuotient((ZERO,), 10**8).dimension == 10**8
+    assert JetQuotient((ZERO, ZERO), 10**8).dimension == 10**8 * (10**8 + 1) // 2
+    assert len(exponents_upto(1, 100_000)) == 100_001  # linear: about 0.1 s, not quadratic
+    assert time.perf_counter() - start < 2.0
 
 
 def test_exponent_count_is_exact_or_a_stand_in_past_the_budget():
