@@ -443,6 +443,7 @@ def _accumulate(parts) -> dict:
 
 
 MAX_SWEEP_TRIPLES = 50_000_000  # the most ordered triples one Jacobi sweep may check
+MAX_SWEEP_VIOLATIONS = 20  # the most violations of each kind a sweep report keeps
 
 
 def jacobi_antisymmetry_sweep(
@@ -450,7 +451,6 @@ def jacobi_antisymmetry_sweep(
     monomial_bound: int,
     k: int,
     structure: StructureFn = hv_structure,
-    max_violations: int = 20,
 ) -> JacobiSweepReport:
     """Exhaustively check antisymmetry and Jacobi on decorated generators.
 
@@ -473,7 +473,8 @@ def jacobi_antisymmetry_sweep(
     accumulation path (keys: generator id, monomial id) sums both the pair
     checks and the three nested brackets of a triple, each part tagged with
     the monomial of its own pair.  Violation payloads are rebuilt as
-    ``{(kind, index, exponents): coefficient}``.  A sweep of more than
+    ``{(kind, index, exponents): coefficient}``, and each violation list
+    keeps its first ``MAX_SWEEP_VIOLATIONS``.  A sweep of more than
     ``MAX_SWEEP_TRIPLES`` triples is refused before any table is built.
     """
     ngens = generator_count(index_bound)
@@ -486,7 +487,7 @@ def jacobi_antisymmetry_sweep(
     report = JacobiSweepReport(index_bound, monomial_bound, k)
     gens = generators_upto(index_bound)
     monos = exponents_upto(k, monomial_bound)
-    terms = [(kind, n, m) for (kind, n) in gens for m in monos]
+    terms = sweep_terms(index_bound, monomial_bound, k)
     nterms = len(terms)
     sweep_gens = range(len(gens))
     sweep_monos = range(len(monos))
@@ -539,7 +540,7 @@ def jacobi_antisymmetry_sweep(
             gb, mb = ids[j]
             report.pairs_checked += 1
             acc = _accumulate(((raw[ga][gb], madd[ma][mb]), (raw[gb][ga], madd[mb][ma])))
-            if any(acc.values()) and len(report.antisymmetry_violations) < max_violations:
+            if any(acc.values()) and len(report.antisymmetry_violations) < MAX_SWEEP_VIOLATIONS:
                 report.antisymmetry_violations.append((terms[i], terms[j], payload(acc, True)))
     for i, (k1, n1, _m1) in enumerate(terms):
         if k1 in _CENTRAL_KINDS or (k1 == "I" and n1 == 0):
@@ -548,7 +549,7 @@ def jacobi_antisymmetry_sweep(
             ga = ids[i][0]
             for j, (gb, _mb) in enumerate(ids):
                 if raw[ga][gb] or raw[gb][ga]:
-                    if len(report.centrality_violations) < max_violations:
+                    if len(report.centrality_violations) < MAX_SWEEP_VIOLATIONS:
                         report.centrality_violations.append((terms[i], terms[j]))
 
     # Jacobi on all ordered triples: [x,[y,z]] + [y,[z,x]] + [z,[x,y]]
@@ -572,7 +573,7 @@ def jacobi_antisymmetry_sweep(
                         (y_part, madd_y[madd_z[mx]]),
                         (z_part, madd_z[xy_mono]),
                     ))
-                    if any(acc.values()) and len(violations) < max_violations:
+                    if any(acc.values()) and len(violations) < MAX_SWEEP_VIOLATIONS:
                         l = gz * len(monos) + mz
                         violations.append((terms[i], terms[j], terms[l], payload(acc, False)))
     return report

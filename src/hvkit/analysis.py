@@ -544,7 +544,10 @@ def hc_criterion_suite(module: TruncatedVerma, f: PolyB, singular_depth: int = 4
     """
     report = HcSuiteReport()
     depth = min(singular_depth, module.max_level)
-    module.level_dimension(depth)  # refuses a level too large to list, so the walk stays bounded
+    # refuses a level too large to list, so the walk stays bounded; level 1
+    # holds two monomials per coefficient key, so this also bounds the key
+    # listings below (the ideal check and the decorated raising factors)
+    module.level_dimension(max(depth, 1))
     coeffs = module.coeffs
     fim = coeffs.project(f)
     if not fim:
@@ -682,12 +685,6 @@ class AnnihilatorReport:
     window: int
     index_bound: int
     entries: list = field(default_factory=list)  # (generator text, annihilates)
-
-    def annihilates(self, text: str) -> bool:
-        for name, flag in self.entries:
-            if name == text:
-                return flag
-        raise KeyError(text)
 
     def summary(self) -> dict:
         return {

@@ -5,12 +5,14 @@ parsing ever happens.  Reports print to stdout as JSON (default) or TSV,
 byte-identical across repeated runs of the same config.  The exit status
 makes the tool usable as a test oracle: 0 when the command's verification
 passed (or a report was produced), 1 when a verification failed, 2 for
-config errors, which also print a single-line diagnostic naming the
-offending field, and 3 for an internal error (a crash inside hvkit), which
-prints one ``internal error: <Type>: <message>`` line.
+config errors, which also print a single-line diagnostic that leads with
+the path of the offending field, and 3 for an internal error (a crash
+inside hvkit), which prints one ``internal error: <Type>: <message>`` line.
 
 Commands: check-axioms, weights, probe-irreducible, singular-vectors,
-hc-suite, invariants, annihilator, jacobi-sweep.
+hc-suite, invariants, annihilator, jacobi-sweep.  Each reads only the
+fields of its row in ``_COMMANDS``; any other field exits 2 before a module
+is built.  Every object in a config is checked by ``modules.object_field``.
 """
 
 from __future__ import annotations
@@ -39,23 +41,24 @@ from .modules import (
     int_field,
     int_list_field,
     module_from_descriptor,
+    object_field,
 )
 from .polys import PolyB
 from .scalars import parse_scalar, render_scalar
 
-_COMMANDS = (
-    "check-axioms",
-    "weights",
-    "probe-irreducible",
-    "singular-vectors",
-    "hc-suite",
-    "invariants",
-    "annihilator",
-    "jacobi-sweep",
-)
-
-_TOP_FIELDS = {"command", "module", "bounds", "f", "generators", "raising"}
-_BOUND_FIELDS = {"index", "monomial", "window", "level", "k", "operator"}
+# The config schema: for each command, the top-level fields it requires
+# besides "command", the ones it accepts besides "bounds" (which every
+# command accepts), and the bounds it reads.  Any other field is refused.
+_COMMANDS = {
+    "check-axioms": (("module",), (), ("index", "monomial", "window")),
+    "weights": (("module",), (), ("window",)),
+    "probe-irreducible": (("module",), (), ("window", "operator")),
+    "singular-vectors": (("module",), ("raising",), ("level",)),
+    "hc-suite": (("module", "f"), (), ("level",)),
+    "invariants": (("module",), (), ()),
+    "annihilator": (("module", "generators"), (), ("window", "index")),
+    "jacobi-sweep": ((), (), ("index", "monomial", "k")),
+}
 
 
 def _fail(field: str, why: str):
@@ -74,19 +77,14 @@ def _get_count(bounds: dict, name: str, default: int) -> int:
 
 
 def _parse_poly(data, field: str) -> PolyB:
-    if not isinstance(data, dict):
-        _fail(field, "must be an object with a 'terms' list")
-    unknown = set(data) - {"terms", "k"}
-    if unknown:
-        _fail(f"{field}.{sorted(unknown)[0]}", "unknown field")
-    terms = data.get("terms")
+    object_field(data, field, ("terms",), ("k",))
+    terms = data["terms"]
     if not isinstance(terms, list):
         _fail(f"{field}.terms", "must be a list")
     k = data.get("k")
     parsed = {}
     for i, entry in enumerate(terms):
-        if not isinstance(entry, dict) or set(entry) - {"exp", "coeff"}:
-            _fail(f"{field}.terms[{i}]", "must have fields 'exp' and 'coeff'")
+        object_field(entry, f"{field}.terms[{i}]", optional=("exp", "coeff"))
         exp = int_list_field(entry.get("exp", []), f"{field}.terms[{i}].exp")
         if k is None:
             k = len(exp)
@@ -114,18 +112,12 @@ def run_config(config: dict, out_format: str = "json", seed: int | None = None):
     """Execute one config; returns (exit_code, report_text)."""
     if not isinstance(config, dict):
         _fail("config", "must be a JSON object")
-    unknown = set(config) - _TOP_FIELDS
-    if unknown:
-        _fail(sorted(unknown)[0], "unknown field")
     command = config.get("command")
-    if command not in _COMMANDS:
+    if not isinstance(command, str) or command not in _COMMANDS:
         _fail("command", f"must be one of {', '.join(_COMMANDS)}")
-    bounds = config.get("bounds") or {}
-    if not isinstance(bounds, dict):
-        _fail("bounds", "must be an object")
-    unknown = set(bounds) - _BOUND_FIELDS
-    if unknown:
-        _fail(f"bounds.{sorted(unknown)[0]}", "unknown field")
+    required, optional, bound_names = _COMMANDS[command]
+    object_field(config, "", ("command", *required), ("bounds", *optional))
+    bounds = object_field(config.get("bounds") or {}, "bounds", optional=bound_names)
 
     if command == "jacobi-sweep":
         report = jacobi_antisymmetry_sweep(
@@ -143,8 +135,6 @@ def run_config(config: dict, out_format: str = "json", seed: int | None = None):
         }
         return (0 if report.clean else 1), _render(payload, out_format)
 
-    if "module" not in config:
-        _fail("module", "required for this command")
     module = module_from_descriptor(config["module"])
     payload: dict = {"command": command, "module": module.describe()}
 
@@ -210,8 +200,6 @@ def run_config(config: dict, out_format: str = "json", seed: int | None = None):
     if command == "hc-suite":
         if not isinstance(module, TruncatedVerma):
             _fail("module.family", "hc-suite needs a verma module")
-        if "f" not in config:
-            _fail("f", "required for hc-suite")
         f = _parse_poly(config["f"], "f")
         report = hc_criterion_suite(module, f, singular_depth=_get_count(bounds, "level", 4))
         if report.phi_kills_ideal and not report.singular_checks:
@@ -232,9 +220,9 @@ def run_config(config: dict, out_format: str = "json", seed: int | None = None):
         return 0, _render(payload, out_format)
 
     if command == "annihilator":
-        gens = config.get("generators")
+        gens = config["generators"]
         if not isinstance(gens, list) or not gens:
-            _fail("generators", "required list of polynomials for annihilator")
+            _fail("generators", "must be a non-empty list of polynomials")
         polys = [_parse_poly(g, f"generators[{i}]") for i, g in enumerate(gens)]
         report = annihilator_probe(
             module,

@@ -766,16 +766,21 @@ class TensorModule(Module):
 # ---------------------------------------------------------------------------
 
 
-def _take(data: dict, required, optional, context: str) -> dict:
-    if not isinstance(data, dict):
-        raise ConfigurationError(f"{context}: must be an object")
-    unknown = set(data) - set(required) - set(optional)
+def object_field(value, path: str, required=(), optional=()) -> dict:
+    """``value`` if it is an object with every field of ``required`` and none
+    outside ``required`` and ``optional``; else a ConfigurationError that
+    leads with the offending field's path ("" is the top of a config)."""
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"{path}: must be an object")
+    prefix = f"{path}." if path else ""
+    unknown = set(value) - {*required, *optional}
     if unknown:
-        raise ConfigurationError(f"{context}: unknown field {sorted(unknown)[0]!r}")
-    missing = [name for name in required if name not in data]
+        known = ", ".join((*required, *optional)) or "none"
+        raise ConfigurationError(f"{prefix}{min(unknown, key=str)}: unknown field (accepted here: {known})")
+    missing = [name for name in required if name not in value]
     if missing:
-        raise ConfigurationError(f"{context}: missing field {missing[0]!r}")
-    return data
+        raise ConfigurationError(f"{prefix}{missing[0]}: missing")
+    return value
 
 
 def int_field(value, path: str) -> int:
@@ -804,7 +809,7 @@ def module_from_descriptor(data: dict) -> Module:
         raise ConfigurationError("module descriptor must be an object")
     family = data.get("family")
     if family == "intermediate":
-        _take(data, ("family", "alpha", "beta", "F"), ("drop_line",), "intermediate")
+        object_field(data, "intermediate", ("family", "alpha", "beta", "F"), ("drop_line",))
         drop_line = data.get("drop_line")
         return IntermediateSeries(
             parse_scalar(data["alpha"]),
@@ -813,7 +818,7 @@ def module_from_descriptor(data: dict) -> Module:
             drop_line=None if drop_line is None else int_field(drop_line, "intermediate.drop_line"),
         )
     if family == "omega":
-        _take(data, ("family", "lambda", "alpha", "mu", "beta"), (), "omega")
+        object_field(data, "omega", ("family", "lambda", "alpha", "mu", "beta"))
         if not isinstance(data["mu"], (list, tuple)):
             raise ConfigurationError("omega: mu must be a list of scalars")
         return OmegaModule(
@@ -823,14 +828,14 @@ def module_from_descriptor(data: dict) -> Module:
             parse_scalar(data["beta"]),
         )
     if family == "evaluation":
-        _take(data, ("family", "point", "order", "inner"), (), "evaluation")
+        object_field(data, "evaluation", ("family", "point", "order", "inner"))
         quotient = JetQuotient(
             _parse_point(data["point"], "evaluation"),
             int_field(data["order"], "evaluation.order"),
         )
         return EvaluationModule(quotient, module_from_descriptor(data["inner"]))
     if family == "verma":
-        _take(data, ("family",), ("quotients", "max_level", "phi"), "verma")
+        object_field(data, "verma", ("family",), ("quotients", "max_level", "phi"))
         quotients = data.get("quotients") or []
         if not isinstance(quotients, list):
             raise ConfigurationError("verma.quotients: must be a list of objects")
@@ -838,7 +843,7 @@ def module_from_descriptor(data: dict) -> Module:
             jets = []
             for i, q in enumerate(quotients):
                 path = f"verma.quotients[{i}]"
-                _take(q, ("point", "order"), (), path)
+                object_field(q, path, ("point", "order"))
                 jets.append(
                     JetQuotient(_parse_point(q["point"], path), int_field(q["order"], f"{path}.order"))
                 )
@@ -851,7 +856,7 @@ def module_from_descriptor(data: dict) -> Module:
         values = {}
         for i, entry in enumerate(phi):
             path = f"verma.phi[{i}]"
-            _take(entry, ("gen", "value"), ("point", "exp"), path)
+            object_field(entry, path, ("gen", "value"), ("point", "exp"))
             slot = entry["gen"]
             if slot not in _PHI_SLOTS:
                 raise ConfigurationError(f"{path}: unknown gen {slot!r}")
@@ -876,7 +881,7 @@ def module_from_descriptor(data: dict) -> Module:
             max_level=int_field(data.get("max_level", 6), "verma.max_level"),
         )
     if family == "tensor":
-        _take(data, ("family", "left", "right"), (), "tensor")
+        object_field(data, "tensor", ("family", "left", "right"))
         return TensorModule(
             module_from_descriptor(data["left"]),
             module_from_descriptor(data["right"]),

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from hvkit import cli
 from hvkit.cli import main, run_config
 from hvkit.errors import ConfigurationError, LevelOverflowError, UnsupportedModuleError
 from hvkit.modules import module_from_descriptor
@@ -518,3 +519,146 @@ def test_any_unexpected_exception_exits_3(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     _assert_internal_error(captured, "RuntimeError")
     assert captured.err == "internal error: RuntimeError: two lines\n"
+
+
+# The config schema written out independently of ``cli._COMMANDS``: for each
+# command, a small valid config, and the top-level fields and bounds it reads.
+POLY_B = {"terms": [{"exp": [1], "coeff": "1"}]}
+SCHEMA_CASES = {
+    "check-axioms": ({"module": OMEGA, "bounds": {"index": 1, "monomial": 1, "window": 1}},
+                     {"module", "bounds.index", "bounds.monomial", "bounds.window"}),
+    "weights": ({"module": INTERMEDIATE, "bounds": {"window": 2}}, {"module", "bounds.window"}),
+    "probe-irreducible": ({"module": INTERMEDIATE, "bounds": {"window": 2, "operator": 1}},
+                          {"module", "bounds.window", "bounds.operator"}),
+    "singular-vectors": ({"module": VERMA, "raising": "full", "bounds": {"level": 1}},
+                         {"module", "raising", "bounds.level"}),
+    "hc-suite": ({"module": VERMA, "f": POLY_B, "bounds": {"level": 1}}, {"module", "f", "bounds.level"}),
+    "invariants": ({"module": OMEGA}, {"module"}),
+    "annihilator": ({"module": EVAL1, "generators": [POLY_B], "bounds": {"window": 1, "index": 1}},
+                    {"module", "generators", "bounds.window", "bounds.index"}),
+    "jacobi-sweep": ({"bounds": {"index": 1, "monomial": 0, "k": 0}},
+                     {"bounds.index", "bounds.monomial", "bounds.k"}),
+}
+# a valid value for every field some command reads
+FIELD_VALUES = {
+    "module": OMEGA, "f": POLY_B, "generators": [POLY_B], "raising": "full",
+    **{f"bounds.{name}": 1 for name in ("index", "monomial", "window", "level", "k", "operator")},
+}
+FOREIGN_FIELDS = [
+    (command, field) for command, (_base, row) in SCHEMA_CASES.items() for field in FIELD_VALUES if field not in row
+]
+
+
+def _with_field(config: dict, field: str) -> dict:
+    config = json.loads(json.dumps(config))
+    if field.startswith("bounds."):
+        config.setdefault("bounds", {})[field[len("bounds."):]] = FIELD_VALUES[field]
+    else:
+        config[field] = FIELD_VALUES[field]
+    return config
+
+
+def test_the_schema_cases_cover_every_foreign_pair():
+    assert len(FOREIGN_FIELDS) == 57
+
+
+@pytest.mark.parametrize("command", sorted(SCHEMA_CASES))
+def test_each_schema_case_is_valid(command):
+    code, _text = run_config(dict(SCHEMA_CASES[command][0], command=command))
+    assert code == 0
+
+
+@pytest.mark.parametrize("command,field", FOREIGN_FIELDS, ids=[f"{c}-{f}" for c, f in FOREIGN_FIELDS])
+def test_a_field_outside_the_command_row_exits_2(tmp_path, capsys, monkeypatch, command, field):
+    def no_module(data):
+        raise AssertionError("a module was built")
+
+    monkeypatch.setattr("hvkit.cli.module_from_descriptor", no_module)
+    config = _with_field(dict(SCHEMA_CASES[command][0], command=command), field)
+    assert _run_main(tmp_path, config) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {field}: unknown field")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", sorted(SCHEMA_CASES))
+def test_each_command_reads_every_bound_of_its_row(monkeypatch, command):
+    read = set()
+    get_int = cli._get_int
+
+    def recording(bounds, name, default):
+        read.add(f"bounds.{name}")
+        return get_int(bounds, name, default)
+
+    monkeypatch.setattr(cli, "_get_int", recording)
+    base, row = SCHEMA_CASES[command]
+    run_config(dict(base, command=command))
+    assert read == {field for field in row if field.startswith("bounds.")}
+
+
+@pytest.mark.parametrize("command", [["weights"], {"weights": 1}, 3, None])
+def test_a_command_that_is_not_a_string_exits_2(tmp_path, capsys, command):
+    assert _run_main(tmp_path, {"command": command, "module": OMEGA}) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: command: must be one of check-axioms, ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "config, diagnostic",
+    [
+        ({"command": "weights"}, "module: missing"),
+        ({"command": "hc-suite", "module": VERMA}, "f: missing"),
+        ({"command": "annihilator", "module": OMEGA}, "generators: missing"),
+        ({"command": "hc-suite", "module": VERMA, "f": {"k": 1}}, "f.terms: missing"),
+        ({"command": "hc-suite", "module": VERMA, "f": {"terms": [{"exp": [1], "coef": "1"}]}},
+         "f.terms[0].coef: unknown field (accepted here: exp, coeff)"),
+        ({"command": "annihilator", "module": OMEGA, "generators": [dict(POLY_B, x=1)]},
+         "generators[0].x: unknown field (accepted here: terms, k)"),
+        ({"command": "weights", "module": dict(OMEGA, x=1)}, "omega.x: unknown field"),
+        ({"command": "weights", "module": {"family": "omega", "lambda": "1"}}, "omega.alpha: missing"),
+        ({"command": "invariants", "module": OMEGA, "bounds": {"window": 1}},
+         "bounds.window: unknown field (accepted here: none)"),
+    ],
+    ids=["module", "f", "generators", "f-terms", "term-field", "generator-field", "descriptor-field",
+         "descriptor-missing", "bounds-of-invariants"],
+)
+def test_config_objects_share_one_diagnostic_format(tmp_path, capsys, config, diagnostic):
+    assert _run_main(tmp_path, config) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {diagnostic}")
+    assert captured.err.count("\n") == 1
+
+
+def _hc_level_zero(order: int, phi: list) -> dict:
+    module = {"family": "verma", "quotients": [{"point": ["0"], "order": order}], "max_level": 2, "phi": phi}
+    return {"command": "hc-suite", "module": module, "f": {"terms": [{"exp": [0], "coeff": "1"}]},
+            "bounds": {"level": 0}}
+
+
+PHI_D0 = [{"gen": "d0", "point": 0, "exp": [0], "value": "1"}]
+
+
+@pytest.mark.parametrize("phi", [[], PHI_D0], ids=["phi-zero", "phi-d0"])
+def test_hc_suite_counts_a_huge_quotient_before_listing_its_keys(tmp_path, capsys, phi):
+    start = time.perf_counter()
+    assert _run_main(tmp_path, _hc_level_zero(100_000_000, phi)) == 2
+    assert time.perf_counter() - start < 2.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "config error: level 1 has more than 100000 PBW monomials (level 1 has 200000000), too many to list\n"
+    )
+
+
+def test_hc_suite_at_level_zero_over_a_listable_quotient(tmp_path, capsys):
+    assert _run_main(tmp_path, _hc_level_zero(20_000, [])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: bounds.level: must be >= 1 when the functional kills the ideal")
+    assert _run_main(tmp_path, _hc_level_zero(20_000, PHI_D0)) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["phi_kills_ideal"] is False and report["passed"] is True

@@ -1,16 +1,20 @@
 """Config fuzzer for the exit-code contract of ``hvkit.cli.main``.
 
-Hypothesis draws configs for all eight commands over all five module
-families (wrappers nested at most two deep), with junk in any field: bools,
-floats, lists, ``"1/0"``, nulls and unknown fields.  Every bound is given,
-small and explicit, so no run falls back to a default that takes seconds.
-For every config:
+Hypothesis draws a command first, then the fields of its row in the config
+schema (``cli._COMMANDS``), over all five module families (wrappers nested
+at most two deep), with junk in any field: bools, floats, lists, ``"1/0"``,
+nulls and unknown fields.  Every bound the command reads is given, small
+and explicit, so no run falls back to a default that takes seconds.  One
+time in twenty the config also carries a field outside the command's row (a
+field of another command, or one no command reads).  For every config:
 
 * the exit code is 0, 1 or 2 (3 would be a crash inside hvkit);
 * exit 1, "the mathematics failed to verify", comes only from the three
   verifying commands;
 * exit 2 prints exactly one stderr line and nothing on stdout;
-* exits 0 and 1 print nothing on stderr.
+* exits 0 and 1 print nothing on stderr;
+* a field outside the command's row exits 2, and a valid command's
+  diagnostic leads with that field's path.
 """
 
 import contextlib
@@ -21,18 +25,9 @@ import tempfile
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hvkit.cli import main
+from hvkit.cli import _COMMANDS, main
 
-COMMANDS = (
-    "check-axioms",
-    "weights",
-    "probe-irreducible",
-    "singular-vectors",
-    "hc-suite",
-    "invariants",
-    "annihilator",
-    "jacobi-sweep",
-)
+COMMANDS = tuple(_COMMANDS)
 VERIFYING = {"check-axioms", "hc-suite", "jacobi-sweep"}
 SLOTS = ("d0", "I0", "C", "C_D", "C_I")
 
@@ -123,30 +118,46 @@ POLY = with_unknown_field(
         optional={"k": ints(0, 2)},
     )
 )
-BOUNDS = with_unknown_field(
-    st.fixed_dictionaries(
-        {
-            "index": ints(-1, 1),
-            "monomial": ints(0, 1),
-            "window": ints(-1, 2),
-            "level": ints(0, 2),
-            "k": ints(0, 1),
-            "operator": ints(0, 2),
-        }
+FIELDS = {
+    "module": junky(st.one_of(modules(2), VERMA)),  # a Verma module more often, for its two commands
+    "f": junky(POLY),
+    "generators": junky(st.lists(POLY, min_size=1, max_size=2)),
+    "raising": junky(st.sampled_from(["generators", "full"])),
+}
+BOUNDS = {
+    "index": ints(-1, 1),
+    "monomial": ints(0, 1),
+    "window": ints(-1, 2),
+    "level": ints(0, 2),
+    "k": ints(0, 1),
+    "operator": ints(0, 2),
+}
+
+
+@st.composite
+def configs(draw):
+    """(config, the path of a field outside the command's row or None)."""
+    command = draw(st.sampled_from(COMMANDS))
+    required, optional, bound_names = _COMMANDS[command]
+    config = draw(
+        st.fixed_dictionaries(
+            {
+                "command": junky(st.just(command)),
+                "bounds": st.fixed_dictionaries({name: BOUNDS[name] for name in bound_names}),
+                **{name: FIELDS[name] for name in required},
+            },
+            optional={name: FIELDS[name] for name in optional},
+        )
     )
-)
-CONFIGS = with_unknown_field(
-    st.fixed_dictionaries(
-        {
-            "command": junky(st.sampled_from(COMMANDS)),
-            "bounds": BOUNDS,
-            "module": junky(st.one_of(modules(2), VERMA)),  # a Verma module more often, for its two commands
-            "f": junky(POLY),
-            "generators": junky(st.lists(POLY, min_size=1, max_size=2)),
-        },
-        optional={"raising": junky(st.sampled_from(["generators", "full"]))},
-    )
-)
+    if draw(st.integers(0, 19)) < 19:
+        return config, None
+    outside = [name for name in (*FIELDS, "bogus") if name not in required + optional]
+    outside += [f"bounds.{name}" for name in (*BOUNDS, "bogus") if name not in bound_names]
+    foreign = draw(st.sampled_from(outside))
+    name = foreign.removeprefix("bounds.")
+    value = draw({**FIELDS, **BOUNDS}.get(name, JUNK))
+    (config["bounds"] if foreign.startswith("bounds.") else config)[name] = value
+    return config, foreign
 
 
 def _run(config) -> tuple:
@@ -164,8 +175,9 @@ def _run(config) -> tuple:
 
 
 @settings(max_examples=600, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(CONFIGS)
-def test_every_config_keeps_the_exit_code_contract(config):
+@given(configs())
+def test_every_config_keeps_the_exit_code_contract(case):
+    config, foreign = case
     code, out, err = _run(config)
     assert code in (0, 1, 2), err
     if code == 1:
@@ -175,3 +187,7 @@ def test_every_config_keeps_the_exit_code_contract(config):
         assert err.count("\n") == 1 and err.endswith("\n"), err
     else:
         assert err == ""
+    if foreign is not None:
+        assert code == 2
+        if config["command"] in COMMANDS:
+            assert err.startswith(f"config error: {foreign}: "), err

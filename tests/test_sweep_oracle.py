@@ -12,6 +12,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
+from hvkit import algebra
 from hvkit.algebra import (
     _CENTRAL_KINDS,
     JacobiSweepReport,
@@ -150,7 +151,9 @@ SMALL_GRID = [bounds for bounds in GRID if _nterms(*bounds) <= 27]
 
 
 def _assert_same(bounds, structure, max_violations=20):
-    new = jacobi_antisymmetry_sweep(*bounds, structure=structure, max_violations=max_violations)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(algebra, "MAX_SWEEP_VIOLATIONS", max_violations)
+        new = jacobi_antisymmetry_sweep(*bounds, structure=structure)
     ref = _reference_sweep(*bounds, structure=structure, max_violations=max_violations)
     assert new.pairs_checked == ref.pairs_checked
     assert new.triples_checked == ref.triples_checked
@@ -171,6 +174,10 @@ def test_hv_structure_matches_reference(bounds):
 def test_mutants_match_reference(bounds, structure):
     for max_violations in (0, 1, 20):
         _assert_same(bounds, structure, max_violations)
+
+
+def test_violation_cap_default():
+    assert algebra.MAX_SWEEP_VIOLATIONS == 20
 
 
 def test_mutants_fire():
