@@ -2,17 +2,17 @@
 
 One JSON config per run; exact rationals travel as strings so no float
 parsing ever happens.  Reports print to stdout as JSON (default) or TSV,
-byte-identical across repeated runs of the same config.  The exit status
-makes the tool usable as a test oracle: 0 when the command's verification
-passed (or a report was produced), 1 when a verification failed, 2 for
-config errors, which also print a single-line diagnostic that leads with
-the path of the offending field, and 3 for an internal error (a crash
-inside hvkit), which prints one ``internal error: <Type>: <message>`` line.
+byte-identical across repeated runs of the same config.  Exit status, a
+test oracle: 0 verified (or a report produced), 1 a verification failed, 2 a
+config error, with one line that leads with the field's full path (``config
+error: module.right.drop_line: must be an integer``), 3 an internal error (a
+crash inside hvkit), with one ``internal error: <Type>: <message>`` line.
 
 Commands: check-axioms, weights, probe-irreducible, singular-vectors,
 hc-suite, invariants, annihilator, jacobi-sweep.  Each reads only the
 fields of its row in ``_COMMANDS``; any other field exits 2 before a module
-is built.  Every object in a config is checked by ``modules.object_field``.
+is built.  A module descriptor is read by its family's row of
+``modules._FAMILIES``, and every object is checked by ``modules.object_field``.
 """
 
 from __future__ import annotations
@@ -39,12 +39,13 @@ from .modules import (
     OmegaModule,
     TruncatedVerma,
     int_field,
-    int_list_field,
+    list_field,
     module_from_descriptor,
     object_field,
+    scalar_field,
 )
 from .polys import PolyB
-from .scalars import parse_scalar, render_scalar
+from .scalars import render_scalar
 
 # The config schema: for each command, the top-level fields it requires
 # besides "command", the ones it accepts besides "bounds" (which every
@@ -76,24 +77,20 @@ def _get_count(bounds: dict, name: str, default: int) -> int:
     return value
 
 
-def _parse_poly(data, field: str) -> PolyB:
+def _parse_term(entry, path: str, k: int) -> tuple:
+    object_field(entry, path, optional=("exp", "coeff"))
+    exp = list_field(entry.get("exp", []), f"{path}.exp", int_field)
+    if len(exp) != k:
+        _fail(f"{path}.exp", f"expected {k} entries")
+    return exp, scalar_field(entry.get("coeff", "1"), f"{path}.coeff")
+
+
+def _parse_poly(data, field: str, k: int) -> PolyB:
+    """A polynomial in the module's ``k`` variables."""
     object_field(data, field, ("terms",), ("k",))
-    terms = data["terms"]
-    if not isinstance(terms, list):
-        _fail(f"{field}.terms", "must be a list")
-    k = data.get("k")
-    parsed = {}
-    for i, entry in enumerate(terms):
-        object_field(entry, f"{field}.terms[{i}]", optional=("exp", "coeff"))
-        exp = int_list_field(entry.get("exp", []), f"{field}.terms[{i}].exp")
-        if k is None:
-            k = len(exp)
-        elif len(exp) != k:
-            _fail(f"{field}.terms[{i}].exp", f"expected {k} entries")
-        parsed[exp] = parse_scalar(entry.get("coeff", "1"))
-    if k is None:
-        _fail(f"{field}.k", "required for a polynomial without terms")
-    return PolyB(k, parsed)
+    if "k" in data and int_field(data["k"], f"{field}.k") != k:
+        _fail(f"{field}.k", f"must be {k}, the module's variable count")
+    return PolyB(k, dict(list_field(data["terms"], f"{field}.terms", lambda t, at: _parse_term(t, at, k))))
 
 
 def _default_window(module: Module) -> int:
@@ -110,14 +107,12 @@ def _default_window(module: Module) -> int:
 
 def run_config(config: dict, out_format: str = "json", seed: int | None = None):
     """Execute one config; returns (exit_code, report_text)."""
-    if not isinstance(config, dict):
-        _fail("config", "must be a JSON object")
-    command = config.get("command")
+    command = object_field(config, "config", optional=config).get("command")  # its row checks the fields
     if not isinstance(command, str) or command not in _COMMANDS:
         _fail("command", f"must be one of {', '.join(_COMMANDS)}")
     required, optional, bound_names = _COMMANDS[command]
     object_field(config, "", ("command", *required), ("bounds", *optional))
-    bounds = object_field(config.get("bounds") or {}, "bounds", optional=bound_names)
+    bounds = object_field(config.get("bounds", {}), "bounds", optional=bound_names)
 
     if command == "jacobi-sweep":
         report = jacobi_antisymmetry_sweep(
@@ -200,7 +195,7 @@ def run_config(config: dict, out_format: str = "json", seed: int | None = None):
     if command == "hc-suite":
         if not isinstance(module, TruncatedVerma):
             _fail("module.family", "hc-suite needs a verma module")
-        f = _parse_poly(config["f"], "f")
+        f = _parse_poly(config["f"], "f", module.algebra().k)
         report = hc_criterion_suite(module, f, singular_depth=_get_count(bounds, "level", 4))
         if report.phi_kills_ideal and not report.singular_checks:
             _fail("bounds.level", "must be >= 1 when the functional kills the ideal, or no vector is checked")
@@ -220,10 +215,9 @@ def run_config(config: dict, out_format: str = "json", seed: int | None = None):
         return 0, _render(payload, out_format)
 
     if command == "annihilator":
-        gens = config["generators"]
-        if not isinstance(gens, list) or not gens:
-            _fail("generators", "must be a non-empty list of polynomials")
-        polys = [_parse_poly(g, f"generators[{i}]") for i, g in enumerate(gens)]
+        polys = list_field(config["generators"], "generators", lambda g, at: _parse_poly(g, at, module.algebra().k))
+        if not polys:
+            _fail("generators", "must not be empty")
         report = annihilator_probe(
             module,
             polys,

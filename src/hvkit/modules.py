@@ -50,7 +50,8 @@ deterministic function of its key, so results do not depend on call order;
 the memory is held until the handle is dropped.  Cached dicts and lists are
 handed to callers as they are and must not be mutated, and nothing locks the
 caches.  Descriptors round-trip through :meth:`Module.describe` /
-:func:`module_from_descriptor` as JSON-shaped dicts.
+:func:`module_from_descriptor` as JSON-shaped dicts; a family's descriptor is
+its row of ``_FAMILIES``, and a new family is that row plus its class.
 """
 
 from __future__ import annotations
@@ -68,7 +69,9 @@ from .algebra import (
 from .errors import (
     ConfigurationError,
     DimensionMismatchError,
+    HvkitError,
     LevelOverflowError,
+    ParseError,
 )
 from .polys import JetQuotient, PolyB, PolyT, jet_expand
 from .scalars import ONE, ZERO, Combination, Frozen, Scalar, parse_scalar, render_scalar, scalar
@@ -790,100 +793,102 @@ def int_field(value, path: str) -> int:
     return value
 
 
-def int_list_field(value, path: str) -> tuple:
-    """A list of integers as a tuple; else a ConfigurationError naming ``path``."""
+def scalar_field(value, path: str) -> Scalar:
+    """``parse_scalar(value)``; its ParseError becomes a ConfigurationError naming ``path``."""
+    try:
+        return parse_scalar(value)
+    except ParseError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
+
+
+def list_field(value, path: str, read) -> tuple:
+    """Each item of a list read by ``read(item, f"{path}[i]")``; else a ConfigurationError naming ``path``."""
     if not isinstance(value, (list, tuple)):
-        raise ConfigurationError(f"{path}: must be a list of integers")
-    return tuple(int_field(v, f"{path}[{i}]") for i, v in enumerate(value))
+        raise ConfigurationError(f"{path}: must be a list")
+    return tuple(read(item, f"{path}[{i}]") for i, item in enumerate(value))
 
 
-def _parse_point(values, context: str):
-    if not isinstance(values, (list, tuple)):
-        raise ConfigurationError(f"{context}: point must be a list of scalars")
-    return tuple(parse_scalar(v) for v in values)
+def _intermediate(data, path):
+    alpha, beta, f = (scalar_field(data[name], f"{path}.{name}") for name in ("alpha", "beta", "F"))
+    drop_line = int_field(data["drop_line"], f"{path}.drop_line") if "drop_line" in data else None
+    return IntermediateSeries(alpha, beta, f, drop_line=drop_line)
 
 
-def module_from_descriptor(data: dict) -> Module:
-    """Rebuild a module handle from its JSON-shaped descriptor."""
-    if not isinstance(data, dict):
-        raise ConfigurationError("module descriptor must be an object")
-    family = data.get("family")
-    if family == "intermediate":
-        object_field(data, "intermediate", ("family", "alpha", "beta", "F"), ("drop_line",))
-        drop_line = data.get("drop_line")
-        return IntermediateSeries(
-            parse_scalar(data["alpha"]),
-            parse_scalar(data["beta"]),
-            parse_scalar(data["F"]),
-            drop_line=None if drop_line is None else int_field(drop_line, "intermediate.drop_line"),
-        )
-    if family == "omega":
-        object_field(data, "omega", ("family", "lambda", "alpha", "mu", "beta"))
-        if not isinstance(data["mu"], (list, tuple)):
-            raise ConfigurationError("omega: mu must be a list of scalars")
-        return OmegaModule(
-            parse_scalar(data["lambda"]),
-            parse_scalar(data["alpha"]),
-            [parse_scalar(m) for m in data["mu"]],
-            parse_scalar(data["beta"]),
-        )
-    if family == "evaluation":
-        object_field(data, "evaluation", ("family", "point", "order", "inner"))
-        quotient = JetQuotient(
-            _parse_point(data["point"], "evaluation"),
-            int_field(data["order"], "evaluation.order"),
-        )
-        return EvaluationModule(quotient, module_from_descriptor(data["inner"]))
-    if family == "verma":
-        object_field(data, "verma", ("family",), ("quotients", "max_level", "phi"))
-        quotients = data.get("quotients") or []
-        if not isinstance(quotients, list):
-            raise ConfigurationError("verma.quotients: must be a list of objects")
-        if quotients:
-            jets = []
-            for i, q in enumerate(quotients):
-                path = f"verma.quotients[{i}]"
-                object_field(q, path, ("point", "order"))
-                jets.append(
-                    JetQuotient(_parse_point(q["point"], path), int_field(q["order"], f"{path}.order"))
-                )
-            coeffs = QuotientCoefficients(jets)
-        else:
-            coeffs = PolynomialCoefficients(0)
-        phi = data.get("phi") or []
-        if not isinstance(phi, list):
-            raise ConfigurationError("verma.phi: must be a list of objects")
-        values = {}
-        for i, entry in enumerate(phi):
-            path = f"verma.phi[{i}]"
-            object_field(entry, path, ("gen", "value"), ("point", "exp"))
-            slot = entry["gen"]
-            if slot not in _PHI_SLOTS:
-                raise ConfigurationError(f"{path}: unknown gen {slot!r}")
-            exp = int_list_field(entry.get("exp") or [], f"{path}.exp")
-            point = int_field(entry.get("point", 0), f"{path}.point")
-            if isinstance(coeffs, PolynomialCoefficients):
-                if exp:
-                    raise ConfigurationError(f"{path}: exp must be empty over trivial B")
-                if point:
-                    raise ConfigurationError(f"{path}.point: must be 0 over trivial B")
-                key = ()
-            else:
-                key = (point, exp)
-                # a basis key of the quotient, checked without listing the basis
-                q = coeffs.quotients[point] if 0 <= point < len(coeffs.quotients) else None
-                if q is None or len(exp) != q.k or min(exp, default=0) < 0 or sum(exp) >= q.order:
-                    raise ConfigurationError(f"{path}: key {key} outside the quotient basis")
-            values[(slot, key)] = parse_scalar(entry["value"])
-        return TruncatedVerma(
-            HighestWeightFunctional(values),
-            coeffs,
-            max_level=int_field(data.get("max_level", 6), "verma.max_level"),
-        )
-    if family == "tensor":
-        object_field(data, "tensor", ("family", "left", "right"))
-        return TensorModule(
-            module_from_descriptor(data["left"]),
-            module_from_descriptor(data["right"]),
-        )
-    raise ConfigurationError(f"family: unknown module family {family!r}")
+def _omega(data, path):
+    lam, alpha, beta = (scalar_field(data[name], f"{path}.{name}") for name in ("lambda", "alpha", "beta"))
+    return OmegaModule(lam, alpha, list_field(data["mu"], f"{path}.mu", scalar_field), beta)
+
+
+def _jet(data, path) -> JetQuotient:
+    """The jet quotient at ``data["point"]`` of order ``data["order"]``."""
+    point = list_field(data["point"], f"{path}.point", scalar_field)
+    return JetQuotient(point, int_field(data["order"], f"{path}.order"))
+
+
+def _evaluation(data, path):
+    return EvaluationModule(_jet(data, path), module_from_descriptor(data["inner"], f"{path}.inner"))
+
+
+def _phi_term(entry, path: str, coeffs):
+    """One ``phi`` entry as ((slot, coefficient key), value)."""
+    object_field(entry, path, ("gen", "value"), ("point", "exp"))
+    slot = entry["gen"]
+    if slot not in _PHI_SLOTS:
+        raise ConfigurationError(f"{path}: unknown gen {slot!r}")
+    exp = list_field(entry.get("exp", []), f"{path}.exp", int_field)
+    point = int_field(entry.get("point", 0), f"{path}.point")
+    if isinstance(coeffs, PolynomialCoefficients):
+        if exp:
+            raise ConfigurationError(f"{path}: exp must be empty over trivial B")
+        if point:
+            raise ConfigurationError(f"{path}.point: must be 0 over trivial B")
+        key = ()
+    else:
+        key = (point, exp)
+        # a basis key of the quotient, checked without listing the basis
+        q = coeffs.quotients[point] if 0 <= point < len(coeffs.quotients) else None
+        if q is None or len(exp) != q.k or min(exp, default=0) < 0 or sum(exp) >= q.order:
+            raise ConfigurationError(f"{path}: key {key} outside the quotient basis")
+    return (slot, key), scalar_field(entry["value"], f"{path}.value")
+
+
+def _verma(data, path):
+    quotients = list_field(
+        data.get("quotients", []), f"{path}.quotients", lambda q, at: _jet(object_field(q, at, ("point", "order")), at)
+    )
+    coeffs = QuotientCoefficients(quotients) if quotients else PolynomialCoefficients(0)
+    terms = list_field(data.get("phi", []), f"{path}.phi", lambda entry, at: _phi_term(entry, at, coeffs))
+    max_level = int_field(data.get("max_level", 6), f"{path}.max_level")
+    return TruncatedVerma(HighestWeightFunctional(dict(terms)), coeffs, max_level=max_level)
+
+
+def _tensor(data, path):
+    return TensorModule(*(module_from_descriptor(data[side], f"{path}.{side}") for side in ("left", "right")))
+
+
+# The descriptor schema: for each family, the fields it requires besides
+# "family", the ones it accepts, and its builder (descriptor, path) -> Module.
+_FAMILIES = {
+    "intermediate": (("alpha", "beta", "F"), ("drop_line",), _intermediate),
+    "omega": (("lambda", "alpha", "mu", "beta"), (), _omega),
+    "evaluation": (("point", "order", "inner"), (), _evaluation),
+    "verma": ((), ("quotients", "max_level", "phi"), _verma),
+    "tensor": (("left", "right"), (), _tensor),
+}
+
+
+def module_from_descriptor(data: dict, path: str = "module") -> Module:
+    """Rebuild a module handle from its JSON-shaped descriptor at ``path``.  A refusal
+    leads with its field's full path (``module.right.drop_line: must be an integer``);
+    a constructor's names none, so it gets ``path``, once (a nested one leads with its own)."""
+    family = object_field(data, path, ("family",), data)["family"]  # the family's row checks the rest
+    if not isinstance(family, str) or family not in _FAMILIES:
+        raise ConfigurationError(f"{path}.family: must be one of {', '.join(_FAMILIES)}")
+    required, optional, build = _FAMILIES[family]
+    object_field(data, path, ("family", *required), optional)
+    try:
+        return build(data, path)
+    except HvkitError as exc:
+        if str(exc).startswith(f"{path}."):  # a field reader's or a nested descriptor's
+            raise
+        raise type(exc)(f"{path}: {exc}") from None

@@ -215,7 +215,7 @@ def test_main_single_line_diagnostic(tmp_path, capsys):
     )
     assert main(["--config", str(path)]) == 2
     err = capsys.readouterr().err
-    assert err.strip() == "config error: lambda must be nonzero"
+    assert err.strip() == "config error: module: lambda must be nonzero"
     assert err.count("\n") == 1
 
 
@@ -248,14 +248,14 @@ def _verma_with(**fields):
         ),
         (
             {"command": "weights", "module": _verma_with(phi=[{"gen": "d0", "point": 0, "exp": ["a"], "value": "1"}])},
-            "verma.phi[0].exp[0]: must be an integer",
+            "module.phi[0].exp[0]: must be an integer",
         ),
-        ({"command": "weights", "module": _verma_with(quotients=[5])}, "verma.quotients[0]: must be an object"),
-        ({"command": "weights", "module": _verma_with(max_level="7")}, "verma.max_level: must be an integer"),
-        ({"command": "weights", "module": dict(EVAL1, order="x")}, "evaluation.order: must be an integer"),
+        ({"command": "weights", "module": _verma_with(quotients=[5])}, "module.quotients[0]: must be an object"),
+        ({"command": "weights", "module": _verma_with(max_level="7")}, "module.max_level: must be an integer"),
+        ({"command": "weights", "module": dict(EVAL1, order="x")}, "module.order: must be an integer"),
         (
             {"command": "weights", "module": dict(INTERMEDIATE, drop_line="0")},
-            "intermediate.drop_line: must be an integer",
+            "module.drop_line: must be an integer",
         ),
     ],
     ids=["poly-exp", "phi-exp", "quotient", "max-level", "order", "drop-line"],
@@ -320,9 +320,9 @@ JET_B2_VERMA = {
         ({"command": "hc-suite", "module": JET_B2_VERMA, "f": {"terms": [{"exp": [2], "coeff": "1"}]}},
          "f: zero in the coefficient algebra"),
         ({"command": "weights", "module": dict(TRIVIAL_VERMA, phi=[{"gen": "d0", "value": "1", "exp": [0, 0]}])},
-         "verma.phi[0]: exp must be empty over trivial B"),
+         "module.phi[0]: exp must be empty over trivial B"),
         ({"command": "weights", "module": dict(TRIVIAL_VERMA, phi=[{"gen": "d0", "value": "1", "point": 3}])},
-         "verma.phi[0].point: must be 0 over trivial B"),
+         "module.phi[0].point: must be 0 over trivial B"),
         ({"command": "hc-suite", "module": {"family": "verma", "max_level": 2, "phi": []},
           "f": {"k": 0, "terms": [{"exp": [], "coeff": "1"}]}, "bounds": {"level": 0}},
          "bounds.level: must be >= 1 when the functional kills the ideal"),
@@ -606,6 +606,54 @@ def test_a_command_that_is_not_a_string_exits_2(tmp_path, capsys, command):
     assert captured.err.count("\n") == 1
 
 
+FAMILIES = "intermediate, omega, evaluation, verma, tensor"
+# Descriptor defects: (id, descriptor, its diagnostic after the descriptor's path).
+DESCRIPTOR_DEFECTS = [
+    ("bad-scalar", dict(INTERMEDIATE, alpha="x"), ".alpha: malformed scalar 'x'"),
+    ("bool-scalar", dict(INTERMEDIATE, alpha=True), ".alpha: expected a scalar string, got True"),
+    ("mu-not-a-list", dict(OMEGA, mu="1"), ".mu: must be a list"),
+    ("point-not-a-list", dict(EVAL1, point="2"), ".point: must be a list"),
+    ("order-string", dict(EVAL1, order="x"), ".order: must be an integer"),
+    ("drop-line-string", dict(INTERMEDIATE, drop_line="0"), ".drop_line: must be an integer"),
+    ("zero-lambda", dict(OMEGA, **{"lambda": "0"}), ": lambda must be nonzero"),
+    ("unknown-gen", dict(TRIVIAL_VERMA, phi=[{"gen": "d1", "value": "1"}]), ".phi[0]: unknown gen 'd1'"),
+    ("quotient-not-an-object", dict(JET_B2_VERMA, quotients=[5]), ".quotients[0]: must be an object"),
+    ("phi-key-outside-the-basis", dict(JET_B2_VERMA, phi=[{"gen": "d0", "point": 0, "exp": [2], "value": "1"}]),
+     ".phi[0]: key (0, (2,)) outside the quotient basis"),
+    ("family-list", {"family": ["x"]}, f".family: must be one of {FAMILIES}"),
+    ("family-int", {"family": 3}, f".family: must be one of {FAMILIES}"),
+    ("family-null", {"family": None}, f".family: must be one of {FAMILIES}"),
+]
+# where a defect is planted: at the top, inside an evaluation wrapper, as a tensor's right factor
+DESCRIPTOR_PLACES = {
+    "module": lambda desc: desc,
+    "module.inner": lambda desc: dict(EVAL1, inner=desc),
+    "module.right": lambda desc: {"family": "tensor", "left": INTERMEDIATE, "right": desc},
+}
+FALSY = [False, None, 0, "", []]
+PHI_TRIVIAL = {"gen": "d0", "value": "1"}
+# (id, config, diagnostic)
+MORE_DIAGNOSTICS = [
+    *[(f"{name}-at-{path}", {"command": "weights", "module": place(desc)}, f"{path}{tail}")
+      for name, desc, tail in DESCRIPTOR_DEFECTS for path, place in DESCRIPTOR_PLACES.items()],
+    *[(f"bounds-{value!r}", {"command": "invariants", "module": OMEGA, "bounds": value}, "bounds: must be an object")
+      for value in FALSY],
+    # an empty list is a valid quotients, phi or exp; every other falsy value is refused
+    *[(f"{field}-{value!r}", {"command": "weights", "module": dict(TRIVIAL_VERMA, **{field: value})},
+       f"module.{field}: must be a list") for field in ("quotients", "phi") for value in FALSY[:-1]],
+    *[(f"exp-{value!r}", {"command": "weights", "module": dict(TRIVIAL_VERMA, phi=[dict(PHI_TRIVIAL, exp=value)])},
+       "module.phi[0].exp: must be a list") for value in FALSY[:-1]],
+    ("f-k-string", {"command": "hc-suite", "module": VERMA, "f": dict(POLY_B, k="x")}, "f.k: must be an integer"),
+    ("f-k-bool", {"command": "hc-suite", "module": VERMA, "f": dict(POLY_B, k=True)}, "f.k: must be an integer"),
+    ("f-k-other", {"command": "hc-suite", "module": VERMA, "f": dict(POLY_B, k=2)},
+     "f.k: must be 1, the module's variable count"),
+    ("generator-exp-length", {"command": "annihilator", "module": OMEGA, "generators": [{"terms": [{"exp": [1, 0]}]}]},
+     "generators[0].terms[0].exp: expected 1 entries"),
+    ("f-coeff", {"command": "hc-suite", "module": VERMA, "f": {"terms": [{"exp": [1], "coeff": "x"}]}},
+     "f.terms[0].coeff: malformed scalar 'x'"),
+]
+
+
 @pytest.mark.parametrize(
     "config, diagnostic",
     [
@@ -617,13 +665,14 @@ def test_a_command_that_is_not_a_string_exits_2(tmp_path, capsys, command):
          "f.terms[0].coef: unknown field (accepted here: exp, coeff)"),
         ({"command": "annihilator", "module": OMEGA, "generators": [dict(POLY_B, x=1)]},
          "generators[0].x: unknown field (accepted here: terms, k)"),
-        ({"command": "weights", "module": dict(OMEGA, x=1)}, "omega.x: unknown field"),
-        ({"command": "weights", "module": {"family": "omega", "lambda": "1"}}, "omega.alpha: missing"),
+        ({"command": "weights", "module": dict(OMEGA, x=1)}, "module.x: unknown field"),
+        ({"command": "weights", "module": {"family": "omega", "lambda": "1"}}, "module.alpha: missing"),
         ({"command": "invariants", "module": OMEGA, "bounds": {"window": 1}},
          "bounds.window: unknown field (accepted here: none)"),
+        *[case[1:] for case in MORE_DIAGNOSTICS],
     ],
     ids=["module", "f", "generators", "f-terms", "term-field", "generator-field", "descriptor-field",
-         "descriptor-missing", "bounds-of-invariants"],
+         "descriptor-missing", "bounds-of-invariants", *[case[0] for case in MORE_DIAGNOSTICS]],
 )
 def test_config_objects_share_one_diagnostic_format(tmp_path, capsys, config, diagnostic):
     assert _run_main(tmp_path, config) == 2

@@ -2,8 +2,8 @@
 
 Hypothesis draws a command first, then the fields of its row in the config
 schema (``cli._COMMANDS``), over all five module families (wrappers nested
-at most two deep), with junk in any field: bools, floats, lists, ``"1/0"``,
-nulls and unknown fields.  Every bound the command reads is given, small
+at most two deep) and families that are not strings, with junk in any
+field: bools, floats, lists, ``"1/0"``, nulls and unknown fields.  Every bound the command reads is given, small
 and explicit, so no run falls back to a default that takes seconds.  One
 time in twenty the config also carries a field outside the command's row (a
 field of another command, or one no command reads).  For every config:
@@ -95,7 +95,11 @@ VERMA = st.fixed_dictionaries(
         "phi": junky(st.lists(PHI_ENTRY, max_size=3)),
     },
 )
-LEAVES = st.one_of(INTERMEDIATE, PRIMED, OMEGA, VERMA)
+# a family that is not a string: unhashable ones must not reach the family table's lookup
+NOT_A_FAMILY = st.fixed_dictionaries(
+    {"family": st.one_of(st.lists(st.just("omega"), max_size=1), st.just({"omega": 1}), st.integers(0, 2), st.none())}
+)
+LEAVES = st.one_of(INTERMEDIATE, PRIMED, OMEGA, VERMA, NOT_A_FAMILY)
 
 
 def modules(depth: int):

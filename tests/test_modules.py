@@ -517,6 +517,45 @@ def test_descriptor_rejects_unknown_fields():
         module_from_descriptor({"family": "intermediate", "alpha": "0", "beta": "0"})
 
 
+_LINE = {"family": "intermediate", "alpha": "0", "beta": "0", "F": "0"}
+_OMEGA = {"family": "omega", "lambda": "2", "alpha": "3", "mu": ["1"], "beta": "0"}
+
+
+def _at_two(order: int, inner: dict):
+    return {"family": "evaluation", "point": ["2"], "order": order, "inner": inner}
+
+
+def _quotients(*quotients):
+    return {"family": "verma", "quotients": [{"point": p, "order": s} for p, s in quotients]}
+
+
+@pytest.mark.parametrize(
+    "descriptor, error, message",
+    [
+        (dict(_LINE, alpha="1", drop_line=0), ConfigurationError,
+         "module: drop_line requires the degenerate parameters alpha+drop_line=0, beta=0, f=0"),
+        (_at_two(2, _LINE), ConfigurationError,
+         "module: a core-algebra inner module supports only order-1 evaluation"),
+        (_quotients((["0"], 2), (["0"], 3)), ConfigurationError, "module: quotient points must be distinct"),
+        (_quotients((["0"], 2), (["1", "2"], 2)), DimensionMismatchError, "module: all quotient points must share k"),
+        (_quotients((["0"], 0)), ConfigurationError, "module: jet order must be >= 1, got 0"),
+        (dict(_quotients((["0"], 2)), max_level=0), ConfigurationError, "module: max_level must be >= 1"),
+        ({"family": "tensor", "left": _OMEGA, "right": _LINE}, DimensionMismatchError,
+         "module: tensor factors live over different algebras"),
+        ({"family": "tensor", "left": _LINE, "right": _at_two(0, _LINE)}, ConfigurationError,
+         "module.right: jet order must be >= 1, got 0"),
+        ({"family": "tensor", "left": _LINE, "right": _at_two(1, dict(_OMEGA, **{"lambda": "0"}))}, ConfigurationError,
+         "module.right.inner: lambda must be nonzero"),
+    ],
+    ids=["drop-line", "order-2-over-the-core", "repeated-point", "mixed-k", "jet-order", "max-level",
+         "tensor-algebras", "nested-jet-order", "twice-nested-lambda"],
+)
+def test_a_constructor_refusal_names_its_descriptor_once(descriptor, error, message):
+    with pytest.raises(error) as caught:
+        module_from_descriptor(descriptor)
+    assert str(caught.value) == message
+
+
 def _jet_verma(order: int, point: int, exp: list):
     return {
         "family": "verma",
@@ -532,7 +571,7 @@ def _jet_verma(order: int, point: int, exp: list):
          "degree-past-the-order", "degree-past-the-second-order"],
 )
 def test_a_phi_key_outside_the_quotient_basis_is_refused(point, exp):
-    with pytest.raises(ConfigurationError, match=r"verma.phi\[0\]: key .* outside the quotient basis"):
+    with pytest.raises(ConfigurationError, match=r"module.phi\[0\]: key .* outside the quotient basis"):
         module_from_descriptor(_jet_verma(3, point, exp))
 
 
