@@ -704,11 +704,15 @@ def annihilator_probe(
     homogeneous x within the index bound?
 
     For an order-s evaluation wrapper every generator of m^s must
-    annihilate, and the m^{s-1} generators must not.
+    annihilate, and the m^{s-1} generators must not.  A zero polynomial
+    kills every module, so it is refused with ConfigurationError.
     """
     coeffs = module.algebra()
     if not isinstance(coeffs, PolynomialCoefficients):
         raise UnsupportedModuleError("annihilator probes run over the polynomial map algebra")
+    for i, p in enumerate(generators):
+        if p.is_zero:
+            raise ConfigurationError(f"generators[{i}]: zero polynomial, so it annihilates every vector")
     report = AnnihilatorReport(window, index_bound)
     basis = [module.basis_vector(key) for key in module.window_keys(window)]
     for p in generators:

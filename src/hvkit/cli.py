@@ -9,10 +9,12 @@ error: module.right.drop_line: must be an integer``), 3 an internal error (a
 crash inside hvkit), with one ``internal error: <Type>: <message>`` line.
 
 Commands: check-axioms, weights, probe-irreducible, singular-vectors,
-hc-suite, invariants, annihilator, jacobi-sweep.  Each reads only the
-fields of its row in ``_COMMANDS``; any other field exits 2 before a module
-is built.  A module descriptor is read by its family's row of
-``modules._FAMILIES``, and every object is checked by ``modules.object_field``.
+hc-suite, invariants, annihilator, jacobi-sweep.  Each is one row of
+``_COMMANDS``: its fields, its bounds with their defaults and least values,
+and its runner.  Any other field exits 2 before a module is built, and a
+bound below its least value exits 2 naming ``bounds.<name>``.  A module
+descriptor is read by its family's row of ``modules._FAMILIES``, and every
+object is checked by ``modules.object_field``.
 """
 
 from __future__ import annotations
@@ -47,33 +49,16 @@ from .modules import (
 from .polys import PolyB
 from .scalars import render_scalar
 
-# The config schema: for each command, the top-level fields it requires
-# besides "command", the ones it accepts besides "bounds" (which every
-# command accepts), and the bounds it reads.  Any other field is refused.
-_COMMANDS = {
-    "check-axioms": (("module",), (), ("index", "monomial", "window")),
-    "weights": (("module",), (), ("window",)),
-    "probe-irreducible": (("module",), (), ("window", "operator")),
-    "singular-vectors": (("module",), ("raising",), ("level",)),
-    "hc-suite": (("module", "f"), (), ("level",)),
-    "invariants": (("module",), (), ()),
-    "annihilator": (("module", "generators"), (), ("window", "index")),
-    "jacobi-sweep": ((), (), ("index", "monomial", "k")),
-}
-
 
 def _fail(field: str, why: str):
     raise ConfigurationError(f"{field}: {why}")
 
 
-def _get_int(bounds: dict, name: str, default: int) -> int:
-    return int_field(bounds.get(name, default), f"bounds.{name}")
-
-
-def _get_count(bounds: dict, name: str, default: int) -> int:
-    value = _get_int(bounds, name, default)
-    if value < 0:
-        _fail(f"bounds.{name}", "must be >= 0")
+def _bound(bounds: dict, name: str, default: int, least: int | None) -> int:
+    """``bounds[name]`` (``default`` when absent): an integer, at least ``least`` unless that is None."""
+    value = int_field(bounds.get(name, default), f"bounds.{name}")
+    if least is not None and value < least:
+        _fail(f"bounds.{name}", f"must be >= {least}")
     return value
 
 
@@ -82,6 +67,8 @@ def _parse_term(entry, path: str, k: int) -> tuple:
     exp = list_field(entry.get("exp", []), f"{path}.exp", int_field)
     if len(exp) != k:
         _fail(f"{path}.exp", f"expected {k} entries")
+    if min(exp, default=0) < 0:
+        _fail(f"{path}.exp", "entries must be >= 0")
     return exp, scalar_field(entry.get("coeff", "1"), f"{path}.coeff")
 
 
@@ -105,129 +92,126 @@ def _default_window(module: Module) -> int:
     return 1
 
 
+# Each runner takes (config, module, bounds read from its row, seed) and
+# returns (passed, report fields).  It calls its driver through this
+# module's global name, so a tracer that swaps the name sees the call.
+
+
+def _check_axioms(config, module, bounds, seed):
+    report = axiom_sweep(
+        module,
+        index_bound=bounds["index"],
+        monomial_bound=bounds["monomial"],
+        window=bounds["window"],
+        order_seed=seed,
+    )
+    return report.clean, report.summary()
+
+
+_WEIGHT_COLUMNS = ("d0", "I0", "C", "CI", "CD", "dimension")
+
+
+def _weights(config, module, bounds, seed):
+    rows = sorted(weight_table(module, window=bounds["window"]).items(), key=lambda item: item[0].sort_key())
+    return True, {"weights": [dict(zip(_WEIGHT_COLUMNS, (*wt.render(), dim))) for wt, dim in rows]}
+
+
+def _probe_irreducible(config, module, bounds, seed):
+    return True, probe_irreducible(module, window=bounds["window"], operator_bound=bounds["operator"]).summary()
+
+
+def _singular_vectors(config, module, bounds, seed):
+    if not isinstance(module, TruncatedVerma):
+        _fail("module.family", "singular-vectors needs a verma module")
+    raising = config.get("raising", "generators")
+    if raising not in ("generators", "full"):
+        _fail("raising", "must be 'generators' or 'full'")
+    vectors = singular_vectors(module, bounds["level"], raising)
+    return True, {
+        "level": bounds["level"],
+        "raising": raising,
+        "dimension": len(vectors),
+        "vectors": sorted(v.render(module.coeffs) for v in vectors),
+    }
+
+
+def _hc_suite(config, module, bounds, seed):
+    if not isinstance(module, TruncatedVerma):
+        _fail("module.family", "hc-suite needs a verma module")
+    f = _parse_poly(config["f"], "f", module.algebra().k)
+    report = hc_criterion_suite(module, f, singular_depth=bounds["level"])
+    if report.phi_kills_ideal and not report.singular_checks:
+        _fail("bounds.level", "must be >= 1 when the functional kills the ideal, or no vector is checked")
+    return report.passed, report.summary()
+
+
+def _invariants(config, module, bounds, seed):
+    lam, alpha, mu, beta = omega_invariants(module)
+    return True, {
+        "lambda": render_scalar(lam),
+        "alpha": render_scalar(alpha),
+        "mu": [render_scalar(m) for m in mu],
+        "beta": render_scalar(beta),
+    }
+
+
+def _annihilator(config, module, bounds, seed):
+    polys = list_field(config["generators"], "generators", lambda g, at: _parse_poly(g, at, module.algebra().k))
+    if not polys:
+        _fail("generators", "must not be empty")
+    return True, annihilator_probe(module, polys, window=bounds["window"], index_bound=bounds["index"]).summary()
+
+
+def _jacobi_sweep(config, module, bounds, seed):
+    report = jacobi_antisymmetry_sweep(bounds["index"], bounds["monomial"], bounds["k"])
+    return report.clean, {
+        "pairs_checked": report.pairs_checked,
+        "triples_checked": report.triples_checked,
+        "jacobi_violations": len(report.jacobi_violations),
+        "antisymmetry_violations": len(report.antisymmetry_violations),
+        "centrality_violations": len(report.centrality_violations),
+    }
+
+
+# The config schema: for each command, the top-level fields it requires
+# besides "command", the ones it accepts besides "bounds" (which every
+# command accepts), its bounds as name: (default, least value or None), and
+# its runner.  A default may be a function of the module.  Any other field
+# is refused.
+_COMMANDS = {
+    "check-axioms": (
+        ("module",), (), {"index": (5, None), "monomial": (2, 0), "window": (_default_window, 0)}, _check_axioms
+    ),
+    "weights": (("module",), (), {"window": (4, 0)}, _weights),
+    "probe-irreducible": (("module",), (), {"window": (4, 1), "operator": (3, 1)}, _probe_irreducible),
+    "singular-vectors": (("module",), ("raising",), {"level": (2, 0)}, _singular_vectors),
+    "hc-suite": (("module", "f"), (), {"level": (4, 0)}, _hc_suite),
+    "invariants": (("module",), (), {}, _invariants),
+    "annihilator": (("module", "generators"), (), {"window": (2, 0), "index": (2, 0)}, _annihilator),
+    "jacobi-sweep": ((), (), {"index": (6, 0), "monomial": (2, 0), "k": (2, 0)}, _jacobi_sweep),
+}
+
+
 def run_config(config: dict, out_format: str = "json", seed: int | None = None):
     """Execute one config; returns (exit_code, report_text)."""
     command = object_field(config, "config", optional=config).get("command")  # its row checks the fields
     if not isinstance(command, str) or command not in _COMMANDS:
         _fail("command", f"must be one of {', '.join(_COMMANDS)}")
-    required, optional, bound_names = _COMMANDS[command]
+    required, optional, bound_row, run = _COMMANDS[command]
     object_field(config, "", ("command", *required), ("bounds", *optional))
-    bounds = object_field(config.get("bounds", {}), "bounds", optional=bound_names)
-
-    if command == "jacobi-sweep":
-        report = jacobi_antisymmetry_sweep(
-            _get_count(bounds, "index", 6),
-            _get_count(bounds, "monomial", 2),
-            _get_count(bounds, "k", 2),
-        )
-        payload = {
-            "command": command,
-            "pairs_checked": report.pairs_checked,
-            "triples_checked": report.triples_checked,
-            "jacobi_violations": len(report.jacobi_violations),
-            "antisymmetry_violations": len(report.antisymmetry_violations),
-            "centrality_violations": len(report.centrality_violations),
-        }
-        return (0 if report.clean else 1), _render(payload, out_format)
-
-    module = module_from_descriptor(config["module"])
-    payload: dict = {"command": command, "module": module.describe()}
-
-    if command == "check-axioms":
-        report = axiom_sweep(
-            module,
-            index_bound=_get_int(bounds, "index", 5),
-            monomial_bound=_get_count(bounds, "monomial", 2),
-            window=_get_count(bounds, "window", _default_window(module)),
-            order_seed=seed,
-        )
-        payload.update(report.summary())
-        return (0 if report.clean else 1), _render(payload, out_format)
-
-    if command == "weights":
-        table = weight_table(module, window=_get_count(bounds, "window", 4))
-        rows = sorted(table.items(), key=lambda item: item[0].sort_key())
-        if out_format == "tsv":
-            lines = ["d0\tI0\tC\tCI\tCD\tdimension"]
-            for wt, dim in rows:
-                lines.append("\t".join(list(wt.render()) + [str(dim)]))
-            return 0, "\n".join(lines) + "\n"
-        payload["weights"] = [
-            {
-                "d0": render_scalar(wt.d0),
-                "I0": render_scalar(wt.I0),
-                "C": render_scalar(wt.C),
-                "CI": render_scalar(wt.CI),
-                "CD": render_scalar(wt.CD),
-                "dimension": dim,
-            }
-            for wt, dim in rows
-        ]
-        return 0, _render(payload, out_format)
-
-    if command == "probe-irreducible":
-        report = probe_irreducible(
-            module,
-            window=_get_int(bounds, "window", 4),
-            operator_bound=_get_int(bounds, "operator", 3),
-        )
-        payload.update(report.summary())
-        return 0, _render(payload, out_format)
-
-    if command == "singular-vectors":
-        if not isinstance(module, TruncatedVerma):
-            _fail("module.family", "singular-vectors needs a verma module")
-        raising = config.get("raising", "generators")
-        if raising not in ("generators", "full"):
-            _fail("raising", "must be 'generators' or 'full'")
-        level = _get_int(bounds, "level", 2)
-        vectors = singular_vectors(module, level, raising)
-        payload.update(
-            {
-                "level": level,
-                "raising": raising,
-                "dimension": len(vectors),
-                "vectors": sorted(v.render(module.coeffs) for v in vectors),
-            }
-        )
-        return 0, _render(payload, out_format)
-
-    if command == "hc-suite":
-        if not isinstance(module, TruncatedVerma):
-            _fail("module.family", "hc-suite needs a verma module")
-        f = _parse_poly(config["f"], "f", module.algebra().k)
-        report = hc_criterion_suite(module, f, singular_depth=_get_count(bounds, "level", 4))
-        if report.phi_kills_ideal and not report.singular_checks:
-            _fail("bounds.level", "must be >= 1 when the functional kills the ideal, or no vector is checked")
-        payload.update(report.summary())
-        return (0 if report.passed else 1), _render(payload, out_format)
-
-    if command == "invariants":
-        lam, alpha, mu, beta = omega_invariants(module)
-        payload.update(
-            {
-                "lambda": render_scalar(lam),
-                "alpha": render_scalar(alpha),
-                "mu": [render_scalar(m) for m in mu],
-                "beta": render_scalar(beta),
-            }
-        )
-        return 0, _render(payload, out_format)
-
-    if command == "annihilator":
-        polys = list_field(config["generators"], "generators", lambda g, at: _parse_poly(g, at, module.algebra().k))
-        if not polys:
-            _fail("generators", "must not be empty")
-        report = annihilator_probe(
-            module,
-            polys,
-            window=_get_count(bounds, "window", 2),
-            index_bound=_get_count(bounds, "index", 2),
-        )
-        payload.update(report.summary())
-        return 0, _render(payload, out_format)
-
-    raise AssertionError(f"unhandled command {command}")  # pragma: no cover
+    bounds = object_field(config.get("bounds", {}), "bounds", optional=bound_row)
+    payload: dict = {"command": command}
+    module = None
+    if "module" in required:
+        module = module_from_descriptor(config["module"])
+        payload["module"] = module.describe()
+    values = {
+        name: _bound(bounds, name, default(module) if callable(default) else default, least)
+        for name, (default, least) in bound_row.items()
+    }
+    passed, fields = run(config, module, values, seed)
+    payload.update(fields)
+    return (0 if passed else 1), _render(payload, out_format)
 
 
 def _flatten(prefix: str, value, lines: list):
@@ -242,11 +226,14 @@ def _flatten(prefix: str, value, lines: list):
 
 
 def _render(payload: dict, out_format: str) -> str:
-    if out_format == "tsv":
-        lines: list = []
-        _flatten("", payload, lines)
-        return "\n".join(lines) + "\n"
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    if out_format == "json":
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    if payload["command"] == "weights":  # a table, not the flattened payload
+        lines = [_WEIGHT_COLUMNS, *([str(row[c]) for c in _WEIGHT_COLUMNS] for row in payload["weights"])]
+        return "\n".join("\t".join(line) for line in lines) + "\n"
+    lines = []
+    _flatten("", payload, lines)
+    return "\n".join(lines) + "\n"
 
 
 def main(argv=None) -> int:

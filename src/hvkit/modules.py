@@ -808,6 +808,17 @@ def list_field(value, path: str, read) -> tuple:
     return tuple(read(item, f"{path}[{i}]") for i, item in enumerate(value))
 
 
+def _named(path: str, build, *args):
+    """``build(*args)``; a refusal that names no field under ``path`` (a
+    constructor's) gets ``path``, once, so a nested one keeps its own."""
+    try:
+        return build(*args)
+    except HvkitError as exc:
+        if str(exc).startswith(f"{path}."):  # a field reader's or a nested descriptor's
+            raise
+        raise type(exc)(f"{path}: {exc}") from None
+
+
 def _intermediate(data, path):
     alpha, beta, f = (scalar_field(data[name], f"{path}.{name}") for name in ("alpha", "beta", "F"))
     drop_line = int_field(data["drop_line"], f"{path}.drop_line") if "drop_line" in data else None
@@ -854,9 +865,11 @@ def _phi_term(entry, path: str, coeffs):
 
 def _verma(data, path):
     quotients = list_field(
-        data.get("quotients", []), f"{path}.quotients", lambda q, at: _jet(object_field(q, at, ("point", "order")), at)
+        data.get("quotients", []),
+        f"{path}.quotients",
+        lambda q, at: _named(at, _jet, object_field(q, at, ("point", "order")), at),
     )
-    coeffs = QuotientCoefficients(quotients) if quotients else PolynomialCoefficients(0)
+    coeffs = _named(f"{path}.quotients", QuotientCoefficients, quotients) if quotients else PolynomialCoefficients(0)
     terms = list_field(data.get("phi", []), f"{path}.phi", lambda entry, at: _phi_term(entry, at, coeffs))
     max_level = int_field(data.get("max_level", 6), f"{path}.max_level")
     return TruncatedVerma(HighestWeightFunctional(dict(terms)), coeffs, max_level=max_level)
@@ -886,9 +899,4 @@ def module_from_descriptor(data: dict, path: str = "module") -> Module:
         raise ConfigurationError(f"{path}.family: must be one of {', '.join(_FAMILIES)}")
     required, optional, build = _FAMILIES[family]
     object_field(data, path, ("family", *required), optional)
-    try:
-        return build(data, path)
-    except HvkitError as exc:
-        if str(exc).startswith(f"{path}."):  # a field reader's or a nested descriptor's
-            raise
-        raise type(exc)(f"{path}: {exc}") from None
+    return _named(path, build, data, path)

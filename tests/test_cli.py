@@ -277,7 +277,7 @@ def test_integer_descriptor_fields_are_type_checked(tmp_path, capsys, config, di
         ({"command": "jacobi-sweep", "bounds": {"index": 1, "monomial": 1, "k": -1}}, "bounds.k: must be >= 0"),
         ({"command": "jacobi-sweep", "bounds": {"index": 1, "monomial": -1, "k": 2}}, "bounds.monomial: must be >= 0"),
         ({"command": "jacobi-sweep", "bounds": {"index": -1, "monomial": 1, "k": 1}}, "bounds.index: must be >= 0"),
-        ({"command": "singular-vectors", "module": VERMA, "bounds": {"level": -1}}, "level must be >= 0"),
+        ({"command": "singular-vectors", "module": VERMA, "bounds": {"level": -1}}, "bounds.level: must be >= 0"),
         ({"command": "hc-suite", "module": VERMA, "f": {"terms": [{"exp": [1], "coeff": "1"}]},
           "bounds": {"level": -2}}, "bounds.level: must be >= 0"),
         ({"command": "annihilator", "module": OMEGA, "generators": [{"terms": [{"exp": [0], "coeff": "1"}]}],
@@ -288,9 +288,13 @@ def test_integer_descriptor_fields_are_type_checked(tmp_path, capsys, config, di
         ({"command": "check-axioms", "module": INTERMEDIATE, "bounds": {"window": -1}}, "bounds.window: must be >= 0"),
         ({"command": "check-axioms", "module": OMEGA, "bounds": {"index": 1, "monomial": -1, "window": 1}},
          "bounds.monomial: must be >= 0"),
+        ({"command": "probe-irreducible", "module": INTERMEDIATE, "bounds": {"window": 0}},
+         "bounds.window: must be >= 1"),
+        ({"command": "probe-irreducible", "module": INTERMEDIATE, "bounds": {"operator": 0}},
+         "bounds.operator: must be >= 1"),
     ],
     ids=["jacobi-k", "jacobi-monomial", "jacobi-index", "singular-level", "hc-level", "annihilator-window",
-         "annihilator-index", "weights-window", "axioms-window", "axioms-monomial"],
+         "annihilator-index", "weights-window", "axioms-window", "axioms-monomial", "probe-window", "probe-operator"],
 )
 def test_negative_bounds_are_rejected(tmp_path, capsys, config, diagnostic):
     with pytest.raises(ConfigurationError, match=re.escape(diagnostic)):
@@ -326,8 +330,14 @@ JET_B2_VERMA = {
         ({"command": "hc-suite", "module": {"family": "verma", "max_level": 2, "phi": []},
           "f": {"k": 0, "terms": [{"exp": [], "coeff": "1"}]}, "bounds": {"level": 0}},
          "bounds.level: must be >= 1 when the functional kills the ideal"),
+        ({"command": "annihilator", "module": OMEGA, "generators": [{"terms": []}]},
+         "generators[0]: zero polynomial"),
+        ({"command": "annihilator", "module": OMEGA,
+          "generators": [{"terms": [{"exp": [0], "coeff": "1"}]}, {"terms": [{"exp": [1], "coeff": "0"}]}]},
+         "generators[1]: zero polynomial"),
     ],
-    ids=["hc-zero-f", "hc-f-in-the-ideal", "trivial-phi-zero-exp", "trivial-phi-point", "hc-kills-at-level-0"],
+    ids=["hc-zero-f", "hc-f-in-the-ideal", "trivial-phi-zero-exp", "trivial-phi-point", "hc-kills-at-level-0",
+         "annihilator-zero-generator", "annihilator-zero-coefficient"],
 )
 def test_inputs_that_would_check_nothing_or_be_dropped_are_rejected(tmp_path, capsys, config, diagnostic):
     with pytest.raises(ConfigurationError, match=re.escape(diagnostic)):
@@ -585,13 +595,13 @@ def test_a_field_outside_the_command_row_exits_2(tmp_path, capsys, monkeypatch, 
 @pytest.mark.parametrize("command", sorted(SCHEMA_CASES))
 def test_each_command_reads_every_bound_of_its_row(monkeypatch, command):
     read = set()
-    get_int = cli._get_int
+    bound = cli._bound
 
-    def recording(bounds, name, default):
+    def recording(bounds, name, default, least):
         read.add(f"bounds.{name}")
-        return get_int(bounds, name, default)
+        return bound(bounds, name, default, least)
 
-    monkeypatch.setattr(cli, "_get_int", recording)
+    monkeypatch.setattr(cli, "_bound", recording)
     base, row = SCHEMA_CASES[command]
     run_config(dict(base, command=command))
     assert read == {field for field in row if field.startswith("bounds.")}
@@ -651,6 +661,11 @@ MORE_DIAGNOSTICS = [
      "generators[0].terms[0].exp: expected 1 entries"),
     ("f-coeff", {"command": "hc-suite", "module": VERMA, "f": {"terms": [{"exp": [1], "coeff": "x"}]}},
      "f.terms[0].coeff: malformed scalar 'x'"),
+    ("f-negative-exp", {"command": "hc-suite", "module": VERMA, "f": {"terms": [{"exp": [-1]}]}},
+     "f.terms[0].exp: entries must be >= 0"),
+    ("generator-negative-exp",
+     {"command": "annihilator", "module": OMEGA, "generators": [{"terms": [{"exp": [0]}, {"exp": [-2]}]}]},
+     "generators[0].terms[1].exp: entries must be >= 0"),
 ]
 
 

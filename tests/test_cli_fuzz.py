@@ -142,7 +142,8 @@ BOUNDS = {
 def configs(draw):
     """(config, the path of a field outside the command's row or None)."""
     command = draw(st.sampled_from(COMMANDS))
-    required, optional, bound_names = _COMMANDS[command]
+    required, optional, bound_row, _run_command = _COMMANDS[command]
+    bound_names = tuple(bound_row)
     config = draw(
         st.fixed_dictionaries(
             {

@@ -536,9 +536,9 @@ def _quotients(*quotients):
          "module: drop_line requires the degenerate parameters alpha+drop_line=0, beta=0, f=0"),
         (_at_two(2, _LINE), ConfigurationError,
          "module: a core-algebra inner module supports only order-1 evaluation"),
-        (_quotients((["0"], 2), (["0"], 3)), ConfigurationError, "module: quotient points must be distinct"),
-        (_quotients((["0"], 2), (["1", "2"], 2)), DimensionMismatchError, "module: all quotient points must share k"),
-        (_quotients((["0"], 0)), ConfigurationError, "module: jet order must be >= 1, got 0"),
+        (_quotients((["0"], 2), (["0"], 3)), ConfigurationError, "module.quotients: quotient points must be distinct"),
+        (_quotients((["0"], 2), (["1", "2"], 2)), DimensionMismatchError, "module.quotients: all quotient points must share k"),
+        (_quotients((["0"], 0)), ConfigurationError, "module.quotients[0]: jet order must be >= 1, got 0"),
         (dict(_quotients((["0"], 2)), max_level=0), ConfigurationError, "module: max_level must be >= 1"),
         ({"family": "tensor", "left": _OMEGA, "right": _LINE}, DimensionMismatchError,
          "module: tensor factors live over different algebras"),
@@ -546,9 +546,11 @@ def _quotients(*quotients):
          "module.right: jet order must be >= 1, got 0"),
         ({"family": "tensor", "left": _LINE, "right": _at_two(1, dict(_OMEGA, **{"lambda": "0"}))}, ConfigurationError,
          "module.right.inner: lambda must be nonzero"),
+        (_at_two(1, _quotients((["0"], 0))), ConfigurationError,
+         "module.inner.quotients[0]: jet order must be >= 1, got 0"),
     ],
     ids=["drop-line", "order-2-over-the-core", "repeated-point", "mixed-k", "jet-order", "max-level",
-         "tensor-algebras", "nested-jet-order", "twice-nested-lambda"],
+         "tensor-algebras", "nested-jet-order", "twice-nested-lambda", "nested-quotient-order"],
 )
 def test_a_constructor_refusal_names_its_descriptor_once(descriptor, error, message):
     with pytest.raises(error) as caught:
