@@ -530,16 +530,32 @@ class HcSuiteReport:
         }
 
 
+# One row per identity X.(Y(x)f).hw = phi([X, Y(x)f]).hw, where X kills hw:
+# its report name, the raising generators X applied innermost first, the
+# lowering generator Y, and whether a nonzero value certifies that Y(x)f.hw
+# escapes the maximal submodule.
+_HC_IDENTITIES = (
+    ("d2.(d-2(x)f)", (d(2),), d(-2), False),
+    ("d1.d1.(d-2(x)f)", (d(1), d(1)), d(-2), True),
+    ("I2.(d-2(x)f)", (I(2),), d(-2), False),
+    ("d2.(I-2(x)f)", (d(2),), I(-2), True),
+    ("I2.(I-2(x)f)", (I(2),), I(-2), True),
+)
+
+
 def hc_criterion_suite(module: TruncatedVerma, f: PolyB, singular_depth: int = 4) -> HcSuiteReport:
     """Check the five straightening identities behind the highest-weight
     finiteness criterion, plus the singular-kernel mechanism.
 
-    The identities are bracket identities, so they must pass for every
-    functional.  When the functional kills the whole zero part tensored
-    with the ideal generated by f, the lowering vectors decorated by f land
-    in the maximal submodule; when the functional sees d_0 (x) f, the
-    double-d_1 word certifies the d_{-2} (x) f vector escapes it.  An f
-    whose image in the coefficient algebra is zero is refused with
+    Each identity (``_HC_IDENTITIES``) compares the module's straightening
+    of X.(Y(x)f).hw with phi([X, Y(x)f]).hw, the bracket taken with the
+    default ``hv_structure`` (never ``module.structure``), so the identities
+    must pass for every functional and catch a module whose structure
+    function is wrong.  When the functional kills the whole zero part
+    tensored with the ideal generated by f, the lowering vectors decorated
+    by f land in the maximal submodule; otherwise a certifying identity
+    with a nonzero value shows its lowering vector escapes it.  An f whose
+    image in the coefficient algebra is zero is refused with
     ConfigurationError: every vector it decorates would be zero.
     """
     report = HcSuiteReport()
@@ -554,43 +570,18 @@ def hc_criterion_suite(module: TruncatedVerma, f: PolyB, singular_depth: int = 4
         raise ConfigurationError("f: zero in the coefficient algebra, so it decorates only zero vectors")
     hw = module.highest_weight_vector()
     decorated = lambda g: _decorated(coeffs, g, fim)  # noqa: E731
-    zero_part = (d(0), I(0), C, C_D, C_I)
-    phi_f = {g: module.phi.of_element(decorated(g)) for g in zero_part}  # phi(g (x) f)
-
     u = lambda g: unit_element(coeffs, g)  # noqa: E731
-    dm2f = module.act(decorated(d(-2)), hw)
-    im2f = module.act(decorated(I(-2)), hw)
 
-    half = Scalar(1) / 2
-    checks = [
-        (
-            "d2.(d-2(x)f)",
-            module.act(u(d(2)), dm2f),
-            (Scalar(-4) * phi_f[d(0)] + half * phi_f[C]) * hw,
-        ),
-        (
-            "d1.d1.(d-2(x)f)",
-            module.act(u(d(1)), module.act(u(d(1)), dm2f)),
-            (6 * phi_f[d(0)]) * hw,
-        ),
-        (
-            "I2.(d-2(x)f)",
-            module.act(u(I(2)), dm2f),
-            (Scalar(-2) * phi_f[I(0)] - 2 * phi_f[C_D]) * hw,
-        ),
-        (
-            "d2.(I-2(x)f)",
-            module.act(u(d(2)), im2f),
-            (Scalar(-2) * phi_f[I(0)] + 6 * phi_f[C_D]) * hw,
-        ),
-        (
-            "I2.(I-2(x)f)",
-            module.act(u(I(2)), im2f),
-            (2 * phi_f[C_I]) * hw,
-        ),
-    ]
-    for name, lhs, rhs in checks:
-        report.identities.append((name, lhs == rhs))
+    lowered = {g: module.act(decorated(g), hw) for g in (d(-2), I(-2))}
+    escaping = set()
+    for name, raising, g, certifies in _HC_IDENTITIES:
+        lhs, x = lowered[g], decorated(g)
+        for r in raising:
+            lhs, x = module.act(u(r), lhs), bracket(u(r), x)
+        value = module.phi.of_element(x)
+        report.identities.append((name, lhs == value * hw))
+        if certifies and not value.is_zero:
+            escaping.add(g)
 
     # does the functional kill the zero part tensored with the ideal (f)?
     ideal_span = []
@@ -601,33 +592,18 @@ def hc_criterion_suite(module: TruncatedVerma, f: PolyB, singular_depth: int = 4
                 prod[key2] = prod.get(key2, ZERO) + (fc if cm == 1 else fc * cm)
         if any(not c.is_zero for c in prod.values()):
             ideal_span.append(prod)
-    kills = all(
+    report.phi_kills_ideal = all(
         module.phi.of_element(_decorated(coeffs, slot_gen, prod)).is_zero
         for prod in ideal_span
-        for slot_gen in zero_part
+        for slot_gen in (d(0), I(0), C, C_D, C_I)
     )
-    report.phi_kills_ideal = kills
 
-    if kills:
-        for n in range(1, depth + 1):
-            for kind, gen in (("d", d(-n)), ("I", I(-n))):
-                vec = module.act(decorated(gen), hw)
-                report.singular_checks.append(
-                    (f"{kind}(-{n})(x)f.hw", True, in_maximal_submodule(module, vec))
-                )
+    if report.phi_kills_ideal:
+        checks = [(g, True, module.act(decorated(g), hw)) for n in range(1, depth + 1) for g in (d(-n), I(-n))]
     else:
-        if not phi_f[d(0)].is_zero and module.max_level >= 2:
-            report.singular_checks.append(
-                ("d(-2)(x)f.hw", False, in_maximal_submodule(module, dm2f))
-            )
-        escape_i = (
-            not (Scalar(-2) * phi_f[I(0)] + 6 * phi_f[C_D]).is_zero
-            or not phi_f[C_I].is_zero
-        )
-        if escape_i and module.max_level >= 2:
-            report.singular_checks.append(
-                ("I(-2)(x)f.hw", False, in_maximal_submodule(module, im2f))
-            )
+        checks = [(g, False, vec) for g, vec in lowered.items() if g in escaping]
+    for g, expected, vec in checks:
+        report.singular_checks.append((f"{g.render()}(x)f.hw", expected, in_maximal_submodule(module, vec)))
     return report
 
 

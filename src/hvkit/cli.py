@@ -73,11 +73,12 @@ def _parse_term(entry, path: str, k: int) -> tuple:
 
 
 def _parse_poly(data, field: str, k: int) -> PolyB:
-    """A polynomial in the module's ``k`` variables."""
+    """A polynomial in the module's ``k`` variables; terms with the same ``exp`` add."""
     object_field(data, field, ("terms",), ("k",))
     if "k" in data and int_field(data["k"], f"{field}.k") != k:
         _fail(f"{field}.k", f"must be {k}, the module's variable count")
-    return PolyB(k, dict(list_field(data["terms"], f"{field}.terms", lambda t, at: _parse_term(t, at, k))))
+    terms = list_field(data["terms"], f"{field}.terms", lambda t, at: _parse_term(t, at, k))
+    return sum((PolyB(k, {exp: c}) for exp, c in terms), PolyB.zero(k))
 
 
 def _default_window(module: Module) -> int:
@@ -138,6 +139,8 @@ def _singular_vectors(config, module, bounds, seed):
 def _hc_suite(config, module, bounds, seed):
     if not isinstance(module, TruncatedVerma):
         _fail("module.family", "hc-suite needs a verma module")
+    if module.max_level < 2:
+        _fail("module.max_level", "must be >= 2 for hc-suite (its identities act at level 2)")
     f = _parse_poly(config["f"], "f", module.algebra().k)
     report = hc_criterion_suite(module, f, singular_depth=bounds["level"])
     if report.phi_kills_ideal and not report.singular_checks:

@@ -40,6 +40,7 @@ from hvkit.modules import (
 )
 from hvkit.polys import JetQuotient, PolyB, PolyT
 from hvkit.scalars import ONE, ZERO, Scalar
+from test_level_builder_oracle import STRUCTURE_MUTANTS
 
 HALF = Scalar(Fraction(1, 2))
 
@@ -461,6 +462,19 @@ def test_hc_rejects_f_that_is_zero_in_the_coefficient_algebra():
         hc_criterion_suite(M, PolyB.zero(1))
     # b1 survives in C[b]/(b^2), so the same module still runs the suite
     assert hc_criterion_suite(M, PolyB.variable(1, 0)).passed
+
+
+@pytest.mark.parametrize("mutant, failing", [("cocycle-quadratic", "d2.(d-2(x)f)"), ("dropped-C_D", "d2.(I-2(x)f)")])
+def test_hc_identities_catch_the_structure_mutants(mutant, failing):
+    """The right-hand sides are brackets under hv_structure, so a module
+    straightening with a wrong structure function fails an identity."""
+    phi = HighestWeightFunctional({("C", ()): Scalar(3), ("C_D", ()): Scalar(5)})
+    f = PolyB.const(0, 1)
+    assert hc_criterion_suite(TruncatedVerma(phi, PolynomialCoefficients(0), max_level=2), f).identities_pass
+    M = TruncatedVerma(phi, PolynomialCoefficients(0), max_level=2, structure=STRUCTURE_MUTANTS[mutant])
+    report = hc_criterion_suite(M, f)
+    assert (failing, False) in report.identities
+    assert not report.passed
 
 
 # -- rank-one invariants -----------------------------------------------------

@@ -122,13 +122,15 @@ def test_annihilator_command():
         "generators": [
             {"terms": [{"exp": [1], "coeff": "1"}, {"exp": [0], "coeff": "-2"}]},
             {"terms": [{"exp": [0], "coeff": "1"}]},
+            {"terms": [{"exp": [1]}, {"exp": [1]}]},  # terms with the same exp add
         ],
     }
     code, text = run_config(cfg)
     assert code == 0
     report = json.loads(text)
     flags = [g["annihilates"] for g in report["generators"]]
-    assert flags == [True, False]
+    assert flags == [True, False, False]
+    assert report["generators"][2]["polynomial"] == "2*b1"
 
 
 def test_annihilator_on_jet_evaluation_at_the_truncation():
@@ -309,6 +311,7 @@ def test_negative_bounds_are_rejected(tmp_path, capsys, config, diagnostic):
 
 
 TRIVIAL_VERMA = {"family": "verma", "max_level": 3, "phi": [{"gen": "d0", "value": "1"}]}
+B_MINUS_B = {"terms": [{"exp": [1], "coeff": "1"}, {"exp": [1], "coeff": "-1"}]}
 JET_B2_VERMA = {
     "family": "verma",
     "quotients": [{"point": ["0"], "order": 2}],
@@ -335,9 +338,14 @@ JET_B2_VERMA = {
         ({"command": "annihilator", "module": OMEGA,
           "generators": [{"terms": [{"exp": [0], "coeff": "1"}]}, {"terms": [{"exp": [1], "coeff": "0"}]}]},
          "generators[1]: zero polynomial"),
+        ({"command": "annihilator", "module": OMEGA, "generators": [B_MINUS_B]}, "generators[0]: zero polynomial"),
+        ({"command": "hc-suite", "module": VERMA, "f": B_MINUS_B}, "f: zero in the coefficient algebra"),
+        ({"command": "hc-suite", "module": dict(TRIVIAL_VERMA, max_level=1), "f": {"k": 0, "terms": [{"exp": []}]}},
+         "module.max_level: must be >= 2 for hc-suite (its identities act at level 2)"),
     ],
     ids=["hc-zero-f", "hc-f-in-the-ideal", "trivial-phi-zero-exp", "trivial-phi-point", "hc-kills-at-level-0",
-         "annihilator-zero-generator", "annihilator-zero-coefficient"],
+         "annihilator-zero-generator", "annihilator-zero-coefficient", "annihilator-b-minus-b", "hc-b-minus-b",
+         "hc-max-level-1"],
 )
 def test_inputs_that_would_check_nothing_or_be_dropped_are_rejected(tmp_path, capsys, config, diagnostic):
     with pytest.raises(ConfigurationError, match=re.escape(diagnostic)):
