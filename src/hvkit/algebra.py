@@ -115,6 +115,11 @@ def hv_structure(k1: str, n1: int, k2: str, n2: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+def _is_exponents(r, k: int) -> bool:
+    """Whether ``r`` is a tuple of k integers, each >= 0."""
+    return isinstance(r, tuple) and len(r) == k and all(type(e) is int and e >= 0 for e in r)
+
+
 class PolynomialCoefficients(Frozen):
     """The polynomial algebra C[b_1..b_k]; keys are exponent tuples.
 
@@ -137,6 +142,10 @@ class PolynomialCoefficients(Frozen):
 
     def keys_upto(self, bound: int) -> list:
         return exponents_upto(self.k, bound)
+
+    def is_basis_key(self, key) -> bool:
+        """Whether ``key`` is a monomial's exponent tuple (over C, only ``()``)."""
+        return _is_exponents(key, self.k)
 
     def basis_keys(self) -> list:
         """The one key of C; C[b_1..b_k] with k >= 1 has no finite basis."""
@@ -197,6 +206,13 @@ class QuotientCoefficients(Frozen):
 
     def basis_keys(self) -> list:
         return [(i, r) for i, q in enumerate(self.quotients) for r in q.basis()]
+
+    def is_basis_key(self, key) -> bool:
+        """Whether ``key`` is one of ``basis_keys()``, checked by arithmetic, never by listing them."""
+        if not (isinstance(key, tuple) and len(key) == 2 and type(key[0]) is int):
+            return False
+        i, r = key
+        return 0 <= i < len(self.quotients) and _is_exponents(r, self.k) and sum(r) < self.quotients[i].order
 
     def multiply(self, key1, key2):
         i, r = key1
@@ -443,6 +459,7 @@ def _accumulate(parts) -> dict:
 
 
 MAX_SWEEP_TRIPLES = 50_000_000  # the most ordered triples one Jacobi sweep may check
+MAX_SWEEP_EXPONENTS = 1_000_000  # the most exponent entries (monomials times k) one Jacobi sweep may store
 MAX_SWEEP_VIOLATIONS = 20  # the most violations of each kind a sweep report keeps
 
 
@@ -475,7 +492,9 @@ def jacobi_antisymmetry_sweep(
     the monomial of its own pair.  Violation payloads are rebuilt as
     ``{(kind, index, exponents): coefficient}``, and each violation list
     keeps its first ``MAX_SWEEP_VIOLATIONS``.  A sweep of more than
-    ``MAX_SWEEP_TRIPLES`` triples is refused before any table is built.
+    ``MAX_SWEEP_TRIPLES`` triples, or whose monomials hold more than
+    ``MAX_SWEEP_EXPONENTS`` exponent entries, is refused before any table is
+    built, in that order.
     """
     ngens = generator_count(index_bound)
     nmonos = exponent_count(k, monomial_bound, MAX_SWEEP_TRIPLES)
@@ -483,6 +502,11 @@ def jacobi_antisymmetry_sweep(
         raise ConfigurationError(
             f"a sweep over index {index_bound}, monomial {monomial_bound}, k {k} "
             f"checks more than {MAX_SWEEP_TRIPLES} triples"
+        )
+    if nmonos * k > MAX_SWEEP_EXPONENTS:  # nmonos is exact here: a stand-in fails the triple count
+        raise ConfigurationError(
+            f"a sweep over monomial {monomial_bound}, k {k} stores {nmonos * k} exponent entries, "
+            f"more than {MAX_SWEEP_EXPONENTS}"
         )
     report = JacobiSweepReport(index_bound, monomial_bound, k)
     gens = generators_upto(index_bound)

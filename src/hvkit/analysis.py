@@ -41,13 +41,11 @@ from .errors import (
 from .linalg import sparse_kernel, sparse_rref
 from .modules import (
     MAX_WINDOW_VECTORS,  # noqa: F401 (re-exported: the window budget that window_keys applies)
-    EvaluationModule,
-    IntermediateSeries,
     Module,
-    OmegaModule,
     PBWVector,
     TruncatedVerma,
     PbwOrder,
+    WeightVector,
 )
 from .polys import PolyB, PolyT, exponent_count
 from .scalars import ONE, ZERO, Scalar, render_scalar
@@ -268,7 +266,7 @@ class WindowReport:
         }
 
 
-def _line_probe(module: Module, window: int, lines: list, operator_bound: int) -> WindowReport:
+def _line_probe(module: Module, lines: list, operator_bound: int) -> dict | None:
     coeffs = module.algebra()
     # (shift, operator): d_i then I_i for each nonzero |i| <= operator_bound
     ops = [
@@ -279,29 +277,18 @@ def _line_probe(module: Module, window: int, lines: list, operator_bound: int) -
     ]
     dead = [k for k in lines if all(module.act(op, module.basis_vector(k)).is_zero for _i, op in ops)]
     if dead:
-        return WindowReport(
-            window,
-            operator_bound,
-            "reducible-with-witness",
-            {"kind": "lines", "lines": sorted(dead)},
-        )
-
+        return {"kind": "lines", "lines": sorted(dead)}
     unreachable = [
         k0
         for k0 in lines
         if all(module.act(op, module.basis_vector(k0 - i)).coeff(k0).is_zero for i, op in ops)
     ]
     if unreachable:
-        return WindowReport(
-            window,
-            operator_bound,
-            "reducible-with-witness",
-            {"kind": "complement-of-lines", "lines": sorted(unreachable)},
-        )
-    return WindowReport(window, operator_bound, "window-irreducible")
+        return {"kind": "complement-of-lines", "lines": sorted(unreachable)}
+    return None
 
 
-def _omega_probe(module: OmegaModule, window: int, degrees: list, operator_bound: int) -> WindowReport:
+def _omega_probe(module: Module, degrees: list, operator_bound: int) -> dict | None:
     coeffs = module.algebra()
     ops = [
         _decorated(coeffs, g, {key: ONE})
@@ -310,42 +297,35 @@ def _omega_probe(module: OmegaModule, window: int, degrees: list, operator_bound
         for key in coeffs.keys_upto(1)
     ]
     # the degree-shifted subspace t*C[t]: closed iff no action reintroduces constants
-    if all(
-        module.act(op, module.basis_vector(j)).coeff(0).is_zero
-        for j in degrees
-        if j
-        for op in ops
-    ):
-        return WindowReport(
-            window,
-            operator_bound,
-            "reducible-with-witness",
-            {"kind": "t-multiples"},
-        )
-    return WindowReport(window, operator_bound, "window-irreducible")
+    closed = all(module.act(op, module.basis_vector(j)).coeff(0).is_zero for j in degrees if j for op in ops)
+    return {"kind": "t-multiples"} if closed else None
+
+
+# each probe by the vector type it reads: (module, window keys, operator bound) -> witness or None
+_PROBES = {WeightVector: _line_probe, PolyT: _omega_probe}
 
 
 def probe_irreducible(module: Module, window: int = 4, operator_bound: int = 3) -> WindowReport:
     """Hunt for an invariant subspace within the window.
 
-    Weight-line modules: looks for basis lines that every shift operator
-    kills (an invariant span) and for lines nothing maps into (an invariant
-    complement).  The rank-one free family: tests closure of the
-    degree-shifted subspace t*C[t].  Witnesses are conclusive; the
-    irreducible verdict is only as strong as the window.
+    The probe is picked by the module's ``vector_type``.  Weight lines
+    (``WeightVector``): looks for basis lines that every shift operator kills
+    (an invariant span) and for lines nothing maps into (an invariant
+    complement).  Polynomials in t (``PolyT``, the rank-one free family):
+    tests closure of the degree-shifted subspace t*C[t].  An evaluation
+    wrapper reads its inner module's vectors, so it is probed as that module.
+    Witnesses are conclusive; the irreducible verdict is only as strong as
+    the window.
     """
     if window < 1 or operator_bound < 1:
         raise ConfigurationError("window and operator bound must be >= 1")
     keys = module.window_keys(window)
-    if isinstance(module, OmegaModule):
-        return _omega_probe(module, window, keys, operator_bound)
-    if isinstance(module, IntermediateSeries):
-        return _line_probe(module, window, keys, operator_bound)
-    if isinstance(module, EvaluationModule) and isinstance(module.inner, IntermediateSeries):
-        return _line_probe(module, window, keys, operator_bound)
-    raise UnsupportedModuleError(
-        f"no reducibility probe for the {module.family} family"
-    )
+    probe = _PROBES.get(module.vector_type)
+    if probe is None:
+        raise UnsupportedModuleError(f"no reducibility probe for the {module.family} family")
+    witness = probe(module, keys, operator_bound)
+    verdict = "window-irreducible" if witness is None else "reducible-with-witness"
+    return WindowReport(window, operator_bound, verdict, witness)
 
 
 # ---------------------------------------------------------------------------

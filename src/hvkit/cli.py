@@ -35,10 +35,6 @@ from .analysis import (
 )
 from .errors import HvkitError, ConfigurationError
 from .modules import (
-    EvaluationModule,
-    IntermediateSeries,
-    Module,
-    OmegaModule,
     TruncatedVerma,
     int_field,
     list_field,
@@ -81,18 +77,6 @@ def _parse_poly(data, field: str, k: int) -> PolyB:
     return sum((PolyB(k, {exp: c}) for exp, c in terms), PolyB.zero(k))
 
 
-def _default_window(module: Module) -> int:
-    if isinstance(module, IntermediateSeries):
-        return 8
-    if isinstance(module, OmegaModule):
-        return 4
-    if isinstance(module, EvaluationModule):
-        return 6 if isinstance(module.inner, IntermediateSeries) else 2
-    if isinstance(module, TruncatedVerma):
-        return 2
-    return 1
-
-
 # Each runner takes (config, module, bounds read from its row, seed) and
 # returns (passed, report fields).  It calls its driver through this
 # module's global name, so a tracer that swaps the name sees the call.
@@ -124,6 +108,8 @@ def _probe_irreducible(config, module, bounds, seed):
 def _singular_vectors(config, module, bounds, seed):
     if not isinstance(module, TruncatedVerma):
         _fail("module.family", "singular-vectors needs a verma module")
+    if bounds["level"] > module.max_level:
+        _fail("bounds.level", f"must be <= {module.max_level}, the module's max_level")
     raising = config.get("raising", "generators")
     if raising not in ("generators", "full"):
         _fail("raising", "must be 'generators' or 'full'")
@@ -183,7 +169,10 @@ def _jacobi_sweep(config, module, bounds, seed):
 # is refused.
 _COMMANDS = {
     "check-axioms": (
-        ("module",), (), {"index": (5, None), "monomial": (2, 0), "window": (_default_window, 0)}, _check_axioms
+        ("module",),
+        (),
+        {"index": (5, None), "monomial": (2, 0), "window": (lambda module: module.default_window, 0)},
+        _check_axioms,
     ),
     "weights": (("module",), (), {"window": (4, 0)}, _weights),
     "probe-irreducible": (("module",), (), {"window": (4, 1), "operator": (3, 1)}, _probe_irreducible),

@@ -51,7 +51,10 @@ the memory is held until the handle is dropped.  Cached dicts and lists are
 handed to callers as they are and must not be mutated, and nothing locks the
 caches.  Descriptors round-trip through :meth:`Module.describe` /
 :func:`module_from_descriptor` as JSON-shaped dicts; a family's descriptor is
-its row of ``_FAMILIES``, and a new family is that row plus its class.
+its row of ``_FAMILIES``.  Drivers and the CLI read a module only through
+this interface and never dispatch on its class: ``vector_type`` picks a
+reducibility probe and ``default_window`` is the window ``check-axioms``
+sweeps when its config names none.  So a new family is its row plus its class.
 """
 
 from __future__ import annotations
@@ -150,6 +153,8 @@ class Module(Frozen):
     family = "abstract"
     # the family's Combination subclass, which every vector of the module is
     vector_type = None
+    # the window check-axioms sweeps when its config names none
+    default_window = 1
 
     def algebra(self):
         raise NotImplementedError
@@ -232,6 +237,7 @@ class IntermediateSeries(Module):
 
     family = "intermediate"
     vector_type = WeightVector
+    default_window = 8
 
     __slots__ = ("alpha", "beta", "f", "drop_line", "_coeffs")
 
@@ -306,6 +312,7 @@ class OmegaModule(Module):
 
     family = "omega"
     vector_type = PolyT
+    default_window = 4
 
     __slots__ = ("lam", "alpha", "mu", "beta", "_coeffs", "_term_cache")
 
@@ -453,6 +460,10 @@ class EvaluationModule(Module):
     def vector_type(self):
         return self.inner.vector_type
 
+    @property
+    def default_window(self) -> int:
+        return 6 if isinstance(self.inner, IntermediateSeries) else 2
+
     def _window_keys(self, window: int) -> list:
         return self.inner._window_keys(window)
 
@@ -548,6 +559,7 @@ class TruncatedVerma(Module):
 
     family = "verma"
     vector_type = PBWVector
+    default_window = 2
 
     __slots__ = ("phi", "coeffs", "max_level", "order", "structure", "_cache", "_level_cache")
 
@@ -569,6 +581,9 @@ class TruncatedVerma(Module):
             raise ConfigurationError(f"unsupported coefficient algebra {coeffs!r}")
         if max_level < 1:
             raise ConfigurationError("max_level must be >= 1")
+        for slot, key in phi.terms:
+            if not coeffs.is_basis_key(key):
+                raise ConfigurationError(f"phi key {key!r} of {slot} is outside the coefficient basis")
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "max_level", int(max_level))
@@ -856,9 +871,7 @@ def _phi_term(entry, path: str, coeffs):
         key = ()
     else:
         key = (point, exp)
-        # a basis key of the quotient, checked without listing the basis
-        q = coeffs.quotients[point] if 0 <= point < len(coeffs.quotients) else None
-        if q is None or len(exp) != q.k or min(exp, default=0) < 0 or sum(exp) >= q.order:
+        if not coeffs.is_basis_key(key):
             raise ConfigurationError(f"{path}: key {key} outside the quotient basis")
     return (slot, key), scalar_field(entry["value"], f"{path}.value")
 

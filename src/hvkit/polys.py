@@ -30,15 +30,26 @@ PointB = tuple[Scalar, ...]
 
 
 def exponents_upto(k: int, bound: int) -> list[MonomialExp]:
-    """All exponent k-tuples r with |r| <= bound, sorted by (|r|, r), in time
-    linear in their number (times k)."""
+    """All exponent k-tuples r with |r| <= bound, sorted by (|r|, r), each built
+    once, in time linear in their number times k.
+
+    Each total t starts at (0, .., 0, t); the next tuple moves one unit from
+    the rightmost nonzero entry j to entry j - 1 and the rest of entry j to
+    the last entry, and j = 0 ends the total."""
     if k == 0:
         return [()]
-    # by_total[t]: the j-tuples of total t in ascending order, for j = 1, ..., k
-    by_total = [[(t,)] for t in range(bound + 1)]
-    for _ in range(k - 1):
-        by_total = [[(f,) + rest for f in range(t + 1) for rest in by_total[t - f]] for t in range(bound + 1)]
-    return [r for level in by_total for r in level]
+    out = []
+    for t in range(bound + 1):
+        r = [0] * (k - 1) + [t]
+        out.append(tuple(r))
+        j = k - 1 if t else 0
+        while j:
+            s, r[j] = r[j], 0
+            r[j - 1] += 1
+            r[-1] = s - 1
+            out.append(tuple(r))
+            j = k - 1 if s > 1 else j - 1
+    return out
 
 
 def exponent_count(k: int, bound: int, budget: int) -> int:

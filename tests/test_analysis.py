@@ -321,6 +321,31 @@ def test_probe_through_evaluation_wrapper():
     assert r.reducible and r.witness == {"kind": "lines", "lines": [0]}
 
 
+OMEGA_GRID = [(lam, alpha, beta) for lam in (2, -HALF) for alpha in (0, 1, HALF) for beta in (0, 1)]
+
+
+@pytest.mark.parametrize("lam,alpha,beta", OMEGA_GRID)
+@pytest.mark.parametrize("point", [0, 2, Fraction(-1, 2)])
+def test_an_evaluation_over_omega_is_probed_as_omega(lam, alpha, beta, point):
+    """An order-1 evaluation acts by unit-decorated operators exactly as its inner
+    module does, and the t*C[t] probe reads the inner Ω's verdict and witness."""
+    inner = OmegaModule(lam, alpha, (), beta)
+    wrapped = probe_irreducible(EvaluationModule(q_at(point, 1), inner), 4, 3)
+    assert wrapped.summary() == probe_irreducible(inner, 4, 3).summary()
+
+
+def test_the_omega_grid_holds_both_verdicts():
+    verdicts = {probe_irreducible(OmegaModule(*params[:2], (), params[2]), 4, 3).reducible for params in OMEGA_GRID}
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("alpha,beta,f", [(0, 0, 0), (0, 1, 0), (1, 0, 0), (HALF, 0, 1)])
+def test_an_evaluation_over_an_evaluation_is_probed_by_lines(alpha, beta, f):
+    inner = IntermediateSeries(alpha, beta, f)
+    wrapped = EvaluationModule(q_at(3, 1), EvaluationModule(JetQuotient((), 1), inner))
+    assert probe_irreducible(wrapped, 4, 2).summary() == probe_irreducible(inner, 4, 2).summary()
+
+
 def test_probe_rejects_verma():
     M = TruncatedVerma(HighestWeightFunctional.zero(), PolynomialCoefficients(0), max_level=2)
     with pytest.raises(UnsupportedModuleError):

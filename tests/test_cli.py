@@ -6,7 +6,7 @@ import pytest
 
 from hvkit import cli
 from hvkit.cli import main, run_config
-from hvkit.errors import ConfigurationError, LevelOverflowError, UnsupportedModuleError
+from hvkit.errors import ConfigurationError, UnsupportedModuleError
 from hvkit.modules import module_from_descriptor
 
 OMEGA = {"family": "omega", "lambda": "2", "alpha": "3", "mu": ["1"], "beta": "0"}
@@ -26,6 +26,30 @@ EVAL1 = {
     "order": 1,
     "inner": {"family": "intermediate", "alpha": "1/2", "beta": "0", "F": "1"},
 }
+
+
+TRIVIAL_VERMA_2 = {"family": "verma", "max_level": 2, "phi": [{"gen": "d0", "value": "1"}]}
+
+
+@pytest.mark.parametrize(
+    "module,window",
+    [
+        (INTERMEDIATE, 8),
+        (OMEGA, 4),
+        (EVAL1, 6),
+        ({"family": "evaluation", "point": ["2"], "order": 1, "inner": TRIVIAL_VERMA_2}, 2),
+        (VERMA, 2),
+        ({"family": "tensor", "left": INTERMEDIATE, "right": INTERMEDIATE}, 1),
+    ],
+    ids=["intermediate", "omega", "evaluation-intermediate", "evaluation-verma", "verma", "tensor"],
+)
+def test_check_axioms_sweeps_the_family_default_window(module, window):
+    """With no window in its bounds, check-axioms sweeps ``Module.default_window``."""
+    config = {"command": "check-axioms", "module": module, "bounds": {"index": 0, "monomial": 0}}
+    code, text = run_config(config)
+    assert code == 0
+    assert json.loads(text)["window"] == window
+    assert module_from_descriptor(module).default_window == window
 
 
 def test_check_axioms_passes():
@@ -369,7 +393,7 @@ def test_singular_vectors_level_zero_and_overflow():
     code, text = run_config({"command": "singular-vectors", "module": VERMA, "bounds": {"level": 0}})
     assert code == 0
     assert json.loads(text)["vectors"] == []
-    with pytest.raises(LevelOverflowError):
+    with pytest.raises(ConfigurationError, match=r"^bounds\.level: must be <= 4, the module's max_level$"):
         run_config({"command": "singular-vectors", "module": VERMA, "bounds": {"level": 5}})
 
 
@@ -427,11 +451,17 @@ def test_hc_suite_walks_each_line_once(tmp_path, capsys):
             {"command": "check-axioms", "module": INTERMEDIATE, "bounds": {"index": 3000, "window": 2}},
             "config error: an axiom sweep over index 3000, monomial 2 has more than 5000000 operator pairs",
         ),
+        (
+            {"command": "jacobi-sweep", "bounds": {"index": 0, "monomial": 0, "k": 10**9}},
+            "config error: a sweep over monomial 0, k 1000000000 stores 1000000000 exponent entries, more than 1000000",
+        ),
     ],
-    ids=["hc-suite-level-25", "jacobi-sweep-40-2-2", "check-axioms-index-3000"],
+    ids=["hc-suite-level-25", "jacobi-sweep-40-2-2", "check-axioms-index-3000", "jacobi-sweep-k-1e9"],
 )
 def test_work_past_the_budget_exits_2(tmp_path, capsys, config, diagnostic):
+    start = time.perf_counter()
     assert _run_main(tmp_path, config) == 2
+    assert time.perf_counter() - start < 10
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(diagnostic)

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -590,6 +591,37 @@ def test_phi_keys_are_checked_without_listing_the_quotient_basis(monkeypatch):
     module = module_from_descriptor(_jet_verma(10**8, 0, [10**8 - 1]))
     assert module.coeffs.dimension == 10**8 + 2
     assert module.coeffs.keys_upto(1) == [(0, (0,)), (0, (1,)), (1, (0,)), (1, (1,))]
+
+
+SQUARE_ZERO = QuotientCoefficients((JetQuotient((ZERO,), 2),))  # C[b]/(b^2)
+
+
+@pytest.mark.parametrize(
+    "coeffs,key",
+    [(SQUARE_ZERO, (0, (5,))), (SQUARE_ZERO, (3, (0,))), (SQUARE_ZERO, ()), (HV, (0, (0,))), (HV, (0,))],
+    ids=["degree-past-the-order", "point-past-the-quotients", "trivial-key-over-a-quotient",
+         "quotient-key-over-trivial-B", "exponent-over-trivial-B"],
+)
+def test_a_verma_refuses_a_phi_key_outside_its_coefficient_basis(coeffs, key):
+    """Such a value would be dropped: no basis key reads it, so φ would act as zero there."""
+    with pytest.raises(ConfigurationError, match=r"phi key .* of d0 is outside the coefficient basis"):
+        TruncatedVerma(HighestWeightFunctional({("d0", key): ONE}), coeffs)
+
+
+def test_phi_keys_are_checked_by_arithmetic_at_every_order(monkeypatch):
+    def no_listing(*_args):
+        raise AssertionError("the quotient basis was listed")
+
+    monkeypatch.setattr(JetQuotient, "basis", no_listing)
+    coeffs = QuotientCoefficients((JetQuotient((ZERO,), 10**8),))
+    start = time.perf_counter()
+    top = TruncatedVerma(HighestWeightFunctional({("d0", (0, (10**8 - 1,))): ONE}), coeffs)
+    assert top.phi("d0", (0, (10**8 - 1,))) == ONE
+    with pytest.raises(ConfigurationError, match="outside the coefficient basis"):
+        TruncatedVerma(HighestWeightFunctional({("d0", (0, (10**8,))): ONE}), coeffs)
+    with pytest.raises(ConfigurationError, match=r"^module.phi\[0\]: key \(0, \(100000000,\)\) outside the quotient basis$"):
+        module_from_descriptor(_jet_verma(10**8, 0, [10**8]))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_quotient_keys_upto_is_the_prefix_of_the_basis():

@@ -196,14 +196,33 @@ def test_exponents_upto():
     assert len(exponents_upto(2, 2)) == 6
 
 
+def _nested_exponents(k: int, bound: int) -> list:
+    """The earlier listing, kept as a reference: it prepends one entry per pass, so
+    building a tuple of length k costs k passes (quadratic in k at bound 0)."""
+    if k == 0:
+        return [()]
+    by_total = [[(t,)] for t in range(bound + 1)]
+    for _ in range(k - 1):
+        by_total = [[(f,) + rest for f in range(t + 1) for rest in by_total[t - f]] for t in range(bound + 1)]
+    return [r for level in by_total for r in level]
+
+
 def test_exponents_upto_lists_every_tuple_once_in_total_then_lexicographic_order():
     for k in range(1, 5):
-        for bound in range(-2, 6):
+        for bound in range(-2, 7):
             want = sorted(
                 (r for r in itertools.product(range(max(bound, 0) + 1), repeat=k) if sum(r) <= bound),
                 key=lambda r: (sum(r), r),
             )
-            assert exponents_upto(k, bound) == want, (k, bound)
+            assert exponents_upto(k, bound) == want == _nested_exponents(k, bound), (k, bound)
+
+
+def test_exponents_upto_is_linear_in_k():
+    start = time.perf_counter()
+    assert exponents_upto(100_000, 0) == [(0,) * 100_000]
+    ones = exponents_upto(1_000, 1)[1:]
+    assert len(ones) == 1_000 and ones[0] == (0,) * 999 + (1,) and ones[-1] == (1,) + (0,) * 999
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("k", range(4))
