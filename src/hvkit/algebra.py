@@ -22,7 +22,6 @@ freedom is taken.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -383,18 +382,35 @@ def project_element(x: AlgebraElement, quotient: QuotientCoefficients) -> Algebr
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class JacobiSweepReport:
+class Report:
+    """Base of the sweep and probe reports: a report's fields are its
+    attributes, so two reports of one class are equal when their attributes
+    are, and the repr lists them."""
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__name__}({fields})"
+
+
+class JacobiSweepReport(Report):
     """Outcome of the exhaustive bracket-law sweep."""
 
-    index_bound: int
-    monomial_bound: int
-    k: int
-    pairs_checked: int = 0
-    triples_checked: int = 0
-    antisymmetry_violations: list = field(default_factory=list)
-    jacobi_violations: list = field(default_factory=list)
-    centrality_violations: list = field(default_factory=list)
+    def __init__(self, index_bound: int, monomial_bound: int, k: int):
+        self.index_bound = index_bound
+        self.monomial_bound = monomial_bound
+        self.k = k
+        self.pairs_checked = 0
+        self.triples_checked = 0
+        self.antisymmetry_violations: list = []
+        self.jacobi_violations: list = []
+        self.centrality_violations: list = []
 
     @property
     def clean(self) -> bool:

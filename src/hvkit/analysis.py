@@ -1,8 +1,9 @@
 """Verification and exploration procedures.
 
 Everything here is a bounded, exact check: axiom sweeps replay the bracket
-against double actions, probes hunt for invariant subspaces inside a finite
-window, and one level builder (``_reduced_levels``) yields the maximal
+against double actions, read as sums of operator rows (each operator's image
+on each basis key, acted once per sweep), probes hunt for invariant
+subspaces inside a finite window, and one level builder (``_reduced_levels``) yields the maximal
 submodule of a Verma module level by level, which singular slices and the
 PBW-order spot-check both read.  Operators come from one generator list
 (``algebra.generators_upto``) and one constructor (``_decorated``); windows
@@ -17,7 +18,6 @@ before it starts and refused past a budget (``MAX_AXIOM_TRIPLES``,
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .algebra import (
@@ -27,6 +27,7 @@ from .algebra import (
     C_I,
     Generator,
     PolynomialCoefficients,
+    Report,
     bracket,
     d,
     generator_count,
@@ -94,17 +95,18 @@ def algebra_generator_elements(coeffs, index_bound: int, monomial_bound: int) ->
 
 MAX_AXIOM_TRIPLES = 5_000_000  # the most operator pairs, and pairs x window vectors, one sweep may check
 MAX_VIOLATION_SAMPLES = 50  # the most violations an axiom-sweep report keeps (it counts them all)
+_OVERFLOW = "overflow"  # an axiom-sweep row whose action overflows a truncation
 
 
-@dataclass
-class AxiomSweepReport:
-    index_bound: int
-    monomial_bound: int
-    window: int
-    triples_checked: int = 0
-    violations_found: int = 0
-    violations: list = field(default_factory=list)
-    inconclusive: list = field(default_factory=list)
+class AxiomSweepReport(Report):
+    def __init__(self, index_bound: int, monomial_bound: int, window: int):
+        self.index_bound = index_bound
+        self.monomial_bound = monomial_bound
+        self.window = window
+        self.triples_checked = 0
+        self.violations_found = 0
+        self.violations: list = []  # (x text, y text, basis key text)
+        self.inconclusive: list = []  # the same, for triples a truncation overflow left undecided
 
     @property
     def clean(self) -> bool:
@@ -136,14 +138,21 @@ def axiom_sweep(
     Sweeps every unordered pair of decorated generators within the bounds
     against every window basis vector.  The ordered-pair identity follows
     from the swept one because the bracket engine's antisymmetry is checked
-    exhaustively elsewhere.  A Verma truncation overflow inside a triple is
-    recorded as inconclusive for that triple, never as a violation.  More than
-    ``MAX_AXIOM_TRIPLES`` operator pairs (counted before anything is built),
-    a window past its budget (refused by ``window_keys`` before it is listed),
-    or pairs times window vectors past ``MAX_AXIOM_TRIPLES`` (before any
-    operator is built) is refused with ``ConfigurationError``, in that order.
-    The report counts every violation and keeps the least
-    ``MAX_VIOLATION_SAMPLES`` of them.
+    exhaustively elsewhere.  The double actions are read from operator rows:
+    ``module.act`` of one operator on one basis vector, built the first time
+    the sweep meets that (operator, basis key), on a window key or on a key
+    an image reaches, and read by every pair that holds the operator.  So
+    x.(y.v) is the sum over the terms c.b of y.v of c times x's row on b, and
+    ``module.act`` stays the only linear extension; the left side acts by
+    the bracket on v.  A Verma truncation overflow inside a triple, in any
+    row it reads or in the left side, is recorded as inconclusive for that
+    triple, never as a violation.  Each operator is rendered once, for the
+    report's entries.  More than ``MAX_AXIOM_TRIPLES`` operator pairs
+    (counted before anything is built), a window past its budget (refused by
+    ``window_keys`` before it is listed), or pairs times window vectors past
+    ``MAX_AXIOM_TRIPLES`` (before any operator is built) is refused with
+    ``ConfigurationError``, in that order.  The report counts every violation
+    and keeps the least ``MAX_VIOLATION_SAMPLES`` of them.
     """
     coeffs = module.algebra()
     sweep = f"an axiom sweep over index {index_bound}, monomial {monomial_bound}"
@@ -160,45 +169,52 @@ def axiom_sweep(
         raise ConfigurationError(f"{sweep}, window {window} checks more than {MAX_AXIOM_TRIPLES} triples")
     report = AxiomSweepReport(index_bound, monomial_bound, window)
     ops = algebra_generator_elements(coeffs, index_bound, monomial_bound)
-    basis = [module.basis_vector(key) for key in keys]
+    texts = [op.render() for op in ops]
     pairs = [(i, j) for i in range(len(ops)) for j in range(i + 1, len(ops))]
     if order_seed is not None:
         random.Random(order_seed).shuffle(pairs)
+    report.triples_checked = len(pairs) * len(keys)
 
-    _OVERFLOW = "overflow"
-    acted: dict = {}
+    # rows[o][b]: the terms of ops[o] on the basis vector of b, or _OVERFLOW;
+    # filled as the sweep meets each key
+    rows: list = [{} for _ in ops]
 
-    def act_on_basis(oi: int, vi: int):
-        key = (oi, vi)
-        hit = acted.get(key)
+    def row(o: int, b) -> dict:
+        hit = rows[o].get(b)
         if hit is None:
             try:
-                hit = module.act(ops[oi], basis[vi])
+                hit = module.act(ops[o], module.basis_vector(b)).terms
             except LevelOverflowError:
                 hit = _OVERFLOW
-            acted[key] = hit
+            rows[o][b] = hit
+        if hit is _OVERFLOW:
+            raise LevelOverflowError(f"{texts[o]} on {b} saturates the truncation")
         return hit
 
+    def double_action(i: int, j: int, b) -> dict:
+        """The terms of x.(y.v) - y.(x.v), x = ops[i], y = ops[j] and v the
+        basis vector of b, summed over rows."""
+        out: dict = {}
+        for o, w in ((i, row(j, b)), (j, {b1: -c1 for b1, c1 in row(i, b).items()})):
+            for b1, c1 in w.items():
+                for b2, c2 in row(o, b1).items():
+                    c = c1 * c2
+                    prev = out.get(b2)
+                    out[b2] = c if prev is None else prev + c
+        return {b2: c for b2, c in out.items() if not c.is_zero}
+
+    basis = [module.basis_vector(key) for key in keys]
     for i, j in pairs:
         xy = bracket(ops[i], ops[j])
-        for vi, (key, v) in enumerate(zip(keys, basis)):
-            report.triples_checked += 1
+        for key, v in zip(keys, basis):
             try:
-                wy = act_on_basis(j, vi)
-                wx = act_on_basis(i, vi)
-                if wy is _OVERFLOW or wx is _OVERFLOW:
-                    raise LevelOverflowError("window vector saturates the truncation")
-                lhs = module.act(xy, v)
-                rhs = module.act(ops[i], wy) - module.act(ops[j], wx)
+                rhs = double_action(i, j, key)
+                lhs = module.act(xy, v).terms
             except LevelOverflowError:
-                report.inconclusive.append(
-                    (ops[i].render(), ops[j].render(), str(key))
-                )
+                report.inconclusive.append((texts[i], texts[j], str(key)))
                 continue
             if lhs != rhs:
-                report.violations.append(
-                    (ops[i].render(), ops[j].render(), str(key))
-                )
+                report.violations.append((texts[i], texts[j], str(key)))
     report.violations_found = len(report.violations)
     report.violations.sort()
     del report.violations[MAX_VIOLATION_SAMPLES:]
@@ -246,12 +262,12 @@ def weight_table(module: Module, window: int = 4) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class WindowReport:
-    window: int
-    operator_bound: int
-    verdict: str  # "reducible-with-witness" | "window-irreducible"
-    witness: dict | None = None
+class WindowReport(Report):
+    def __init__(self, window: int, operator_bound: int, verdict: str, witness: dict | None = None):
+        self.window = window
+        self.operator_bound = operator_bound
+        self.verdict = verdict  # "reducible-with-witness" | "window-irreducible"
+        self.witness = witness
 
     @property
     def reducible(self) -> bool:
@@ -480,11 +496,11 @@ def in_maximal_submodule(module: TruncatedVerma, v: PBWVector) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class HcSuiteReport:
-    identities: list = field(default_factory=list)  # (name, passed)
-    phi_kills_ideal: bool = False
-    singular_checks: list = field(default_factory=list)  # (name, expected, actual)
+class HcSuiteReport(Report):
+    def __init__(self):
+        self.identities: list = []  # (name, passed)
+        self.phi_kills_ideal = False
+        self.singular_checks: list = []  # (name, expected, actual)
 
     @property
     def identities_pass(self) -> bool:
@@ -636,11 +652,11 @@ def omega_invariants(module: Module):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AnnihilatorReport:
-    window: int
-    index_bound: int
-    entries: list = field(default_factory=list)  # (generator text, annihilates)
+class AnnihilatorReport(Report):
+    def __init__(self, window: int, index_bound: int):
+        self.window = window
+        self.index_bound = index_bound
+        self.entries: list = []  # (generator text, annihilates)
 
     def summary(self) -> dict:
         return {
@@ -684,11 +700,11 @@ def annihilator_probe(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PbwSpotcheckReport:
-    rows: list = field(default_factory=list)  # (level, dim_a, dim_b, sing_a, sing_b)
-    value_mismatches: list = field(default_factory=list)  # (lowering word, raising word)
-    values_compared: int = 0
+class PbwSpotcheckReport(Report):
+    def __init__(self):
+        self.rows: list = []  # (level, dim_a, dim_b, sing_a, sing_b)
+        self.value_mismatches: list = []  # (lowering word, raising word)
+        self.values_compared = 0
 
     @property
     def passed(self) -> bool:

@@ -462,7 +462,7 @@ class EvaluationModule(Module):
 
     @property
     def default_window(self) -> int:
-        return 6 if isinstance(self.inner, IntermediateSeries) else 2
+        return 6 if self.inner.vector_type is WeightVector else 2
 
     def _window_keys(self, window: int) -> list:
         return self.inner._window_keys(window)

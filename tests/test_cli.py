@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 
 import pytest
@@ -38,10 +41,19 @@ TRIVIAL_VERMA_2 = {"family": "verma", "max_level": 2, "phi": [{"gen": "d0", "val
         (OMEGA, 4),
         (EVAL1, 6),
         ({"family": "evaluation", "point": ["2"], "order": 1, "inner": TRIVIAL_VERMA_2}, 2),
+        ({"family": "evaluation", "point": ["2"], "order": 1, "inner": dict(EVAL1, point=[])}, 6),
         (VERMA, 2),
         ({"family": "tensor", "left": INTERMEDIATE, "right": INTERMEDIATE}, 1),
     ],
-    ids=["intermediate", "omega", "evaluation-intermediate", "evaluation-verma", "verma", "tensor"],
+    ids=[
+        "intermediate",
+        "omega",
+        "evaluation-intermediate",
+        "evaluation-verma",
+        "evaluation-evaluation-intermediate",
+        "verma",
+        "tensor",
+    ],
 )
 def test_check_axioms_sweeps_the_family_default_window(module, window):
     """With no window in its bounds, check-axioms sweeps ``Module.default_window``."""
@@ -50,6 +62,17 @@ def test_check_axioms_sweeps_the_family_default_window(module, window):
     assert code == 0
     assert json.loads(text)["window"] == window
     assert module_from_descriptor(module).default_window == window
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    """Reports are plain classes, so a CLI run does not import ``dataclasses``
+    (nor the ``inspect``, ``ast``, ``dis`` and ``tokenize`` it pulls in)."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    probe = "import sys, hvkit.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_check_axioms_passes():
