@@ -3,16 +3,17 @@
 Everything here is a bounded, exact check: axiom sweeps replay the bracket
 against double actions, read as sums of operator rows (each operator's image
 on each basis key, acted once per sweep), probes hunt for invariant
-subspaces inside a finite window, and one level builder (``_reduced_levels``) yields the maximal
-submodule of a Verma module level by level, which singular slices and the
-PBW-order spot-check both read.  Operators come from one generator list
-(``algebra.generators_upto``) and one constructor (``_decorated``); windows
-come from one budgeted listing of basis keys (``Module.window_keys``), and
-a vector is built from a key only where it is acted on.  Work is counted
-before it starts and refused past a budget (``MAX_AXIOM_TRIPLES``,
-``MAX_BUILDER_READS``, and the module layer's ``MAX_WINDOW_VECTORS`` and
-``MAX_LEVEL_MONOMIALS``).  A reducibility witness is conclusive; a
-"window-irreducible" verdict is a bounded-scope certificate, never a proof.
+subspaces inside a finite window, and one level builder
+(``_reduced_levels``) yields the maximal submodule of a Verma module level
+by level, which singular slices and the PBW-order spot-check both read.
+Operators come from one generator list (``algebra.generators_upto``) and one
+constructor (``_decorated``); windows come from one budgeted listing of
+basis keys (``Module.window_keys``), and a vector is built from a key only
+where it is acted on.  Work is counted before it starts and refused past a
+budget (``MAX_AXIOM_TRIPLES``, ``MAX_BUILDER_READS``, and the module layer's
+``MAX_WINDOW_VECTORS`` and ``MAX_LEVEL_MONOMIALS``).  A reducibility witness
+is conclusive; a "window-irreducible" verdict is a bounded-scope
+certificate, never a proof.
 """
 
 from __future__ import annotations
@@ -95,7 +96,6 @@ def algebra_generator_elements(coeffs, index_bound: int, monomial_bound: int) ->
 
 MAX_AXIOM_TRIPLES = 5_000_000  # the most operator pairs, and pairs x window vectors, one sweep may check
 MAX_VIOLATION_SAMPLES = 50  # the most violations an axiom-sweep report keeps (it counts them all)
-_OVERFLOW = "overflow"  # an axiom-sweep row whose action overflows a truncation
 
 
 class AxiomSweepReport(Report):
@@ -170,6 +170,7 @@ def axiom_sweep(
     report = AxiomSweepReport(index_bound, monomial_bound, window)
     ops = algebra_generator_elements(coeffs, index_bound, monomial_bound)
     texts = [op.render() for op in ops]
+    basis = [module.basis_vector(key) for key in keys]
     pairs = [(i, j) for i in range(len(ops)) for j in range(i + 1, len(ops))]
     if order_seed is not None:
         random.Random(order_seed).shuffle(pairs)
@@ -177,6 +178,7 @@ def axiom_sweep(
 
     # rows[o][b]: the terms of ops[o] on the basis vector of b, or _OVERFLOW;
     # filled as the sweep meets each key
+    _OVERFLOW = "overflow"
     rows: list = [{} for _ in ops]
 
     def row(o: int, b) -> dict:
@@ -203,7 +205,6 @@ def axiom_sweep(
                     out[b2] = c if prev is None else prev + c
         return {b2: c for b2, c in out.items() if not c.is_zero}
 
-    basis = [module.basis_vector(key) for key in keys]
     for i, j in pairs:
         xy = bracket(ops[i], ops[j])
         for key, v in zip(keys, basis):
