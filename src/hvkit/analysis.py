@@ -1,9 +1,9 @@
 """Verification and exploration procedures.
 
 Everything here is a bounded, exact check: axiom sweeps replay the bracket
-against double actions, read as sums of operator rows (each operator's image
-on each basis key, acted once per sweep), probes hunt for invariant
-subspaces inside a finite window, and one level builder
+against double actions, both sides read as sums of term rows (each one-term
+element's image on each basis key, acted once per sweep), probes hunt for
+invariant subspaces inside a finite window, and one level builder
 (``_reduced_levels``) yields the maximal submodule of a Verma module level
 by level, which singular slices and the PBW-order spot-check both read.
 Operators come from one generator list (``algebra.generators_upto``) and one
@@ -138,17 +138,24 @@ def axiom_sweep(
     Sweeps every unordered pair of decorated generators within the bounds
     against every window basis vector.  The ordered-pair identity follows
     from the swept one because the bracket engine's antisymmetry is checked
-    exhaustively elsewhere.  The double actions are read from operator rows:
-    ``module.act`` of one operator on one basis vector, built the first time
-    the sweep meets that (operator, basis key), on a window key or on a key
-    an image reaches, and read by every pair that holds the operator.  So
-    x.(y.v) is the sum over the terms c.b of y.v of c times x's row on b, and
-    ``module.act`` stays the only linear extension; the left side acts by
-    the bracket on v.  A Verma truncation overflow inside a triple, in any
-    row it reads or in the left side, is recorded as inconclusive for that
-    triple, never as a violation.  Each operator is rendered once, for the
-    report's entries.  More than ``MAX_AXIOM_TRIPLES`` operator pairs
-    (counted before anything is built), a window past its budget (refused by
+    exhaustively elsewhere.  Both sides are read from term rows: the row of
+    a one-term element t = (generator, coefficient key) on a basis key b is
+    ``module.act`` of t on the basis vector of b, built the first time the
+    sweep meets (t, b), on a window key or on a key an image reaches, and
+    read by every triple that needs it.  So x.(y.v) is the sum over the
+    terms c.b of y.v of c times x's row on b, [x, y].v is the sum over the
+    terms c.t of ``bracket(x, y)`` of c times t's row on v, and each triple
+    sums x.(y.v) - y.(x.v) - [x, y].v in one accumulator: a violation when
+    any entry is nonzero.  ``module.act`` stays the only linear extension
+    and never receives a bracket.  Reading the bracket term by term is
+    exact, overflows included, because the bracket of two one-term
+    elements holds at most one term per generator (``multiply`` gives at
+    most one key), so an evaluation wrapper's merged jet images never
+    cancel across its terms.  A Verma truncation overflow inside a triple,
+    in any row it reads, is recorded as inconclusive for that triple, never
+    as a violation.  Each operator is rendered once, for the report's
+    entries.  More than ``MAX_AXIOM_TRIPLES`` operator pairs (counted before
+    anything is built), a window past its budget (refused by
     ``window_keys`` before it is listed), or pairs times window vectors past
     ``MAX_AXIOM_TRIPLES`` (before any operator is built) is refused with
     ``ConfigurationError``, in that order.  The report counts every violation
@@ -170,51 +177,62 @@ def axiom_sweep(
     report = AxiomSweepReport(index_bound, monomial_bound, window)
     ops = algebra_generator_elements(coeffs, index_bound, monomial_bound)
     texts = [op.render() for op in ops]
-    basis = [module.basis_vector(key) for key in keys]
+    terms = [next(iter(op.terms)) for op in ops]
     pairs = [(i, j) for i in range(len(ops)) for j in range(i + 1, len(ops))]
     if order_seed is not None:
         random.Random(order_seed).shuffle(pairs)
     report.triples_checked = len(pairs) * len(keys)
 
-    # rows[o][b]: the terms of ops[o] on the basis vector of b, or _OVERFLOW;
-    # filled as the sweep meets each key
+    # rows[t][b]: the terms of the one-term element t on the basis vector of
+    # b, or _OVERFLOW; built the first time the sweep meets (t, b)
     _OVERFLOW = "overflow"
-    rows: list = [{} for _ in ops]
+    rows: dict = {}
 
-    def row(o: int, b) -> dict:
-        hit = rows[o].get(b)
+    def row(t, b) -> dict:
+        table = rows.get(t)
+        if table is None:
+            table = rows[t] = {}
+        hit = table.get(b)
         if hit is None:
             try:
-                hit = module.act(ops[o], module.basis_vector(b)).terms
+                hit = module.act(AlgebraElement(coeffs, {t: ONE}), module.basis_vector(b)).terms
             except LevelOverflowError:
                 hit = _OVERFLOW
-            rows[o][b] = hit
+            table[b] = hit
         if hit is _OVERFLOW:
-            raise LevelOverflowError(f"{texts[o]} on {b} saturates the truncation")
+            raise LevelOverflowError(f"{t} on {b} saturates the truncation")
         return hit
 
-    def double_action(i: int, j: int, b) -> dict:
-        """The terms of x.(y.v) - y.(x.v), x = ops[i], y = ops[j] and v the
-        basis vector of b, summed over rows."""
-        out: dict = {}
-        for o, w in ((i, row(j, b)), (j, {b1: -c1 for b1, c1 in row(i, b).items()})):
-            for b1, c1 in w.items():
-                for b2, c2 in row(o, b1).items():
-                    c = c1 * c2
-                    prev = out.get(b2)
-                    out[b2] = c if prev is None else prev + c
-        return {b2: c for b2, c in out.items() if not c.is_zero}
-
     for i, j in pairs:
-        xy = bracket(ops[i], ops[j])
-        for key, v in zip(keys, basis):
+        ti, tj = terms[i], terms[j]
+        xy = bracket(ops[i], ops[j]).terms.items()
+        for key in keys:
+            # x.(y.v) - y.(x.v) - [x, y].v in one accumulator, x = ops[i],
+            # y = ops[j] and v the basis vector of key; three loops, because
+            # building one list of the three parts per triple cost about a
+            # tenth of an axiom-sweep pass
+            acc: dict = {}
             try:
-                rhs = double_action(i, j, key)
-                lhs = module.act(xy, v).terms
+                wy, wx = row(tj, key), row(ti, key)
+                for b1, c1 in wy.items():
+                    for b2, c2 in row(ti, b1).items():
+                        c = c1 * c2
+                        prev = acc.get(b2)
+                        acc[b2] = c if prev is None else prev + c
+                for b1, c1 in wx.items():
+                    for b2, c2 in row(tj, b1).items():
+                        c = c1 * c2
+                        prev = acc.get(b2)
+                        acc[b2] = -c if prev is None else prev - c
+                for t, c1 in xy:
+                    for b2, c2 in row(t, key).items():
+                        c = c1 * c2
+                        prev = acc.get(b2)
+                        acc[b2] = -c if prev is None else prev - c
             except LevelOverflowError:
                 report.inconclusive.append((texts[i], texts[j], str(key)))
                 continue
-            if lhs != rhs:
+            if any(acc.values()):
                 report.violations.append((texts[i], texts[j], str(key)))
     report.violations_found = len(report.violations)
     report.violations.sort()

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hvkit import algebra
 from hvkit.algebra import (
@@ -32,6 +32,7 @@ from hvkit.algebra import (
 from hvkit.errors import ConfigurationError, DimensionMismatchError, ParseError
 from hvkit.polys import JetQuotient
 from hvkit.scalars import IMAG, ONE, ZERO, Scalar
+from test_level_builder_oracle import STRUCTURE_MUTANTS
 
 P1 = PolynomialCoefficients(1)
 P2 = PolynomialCoefficients(2)
@@ -210,6 +211,46 @@ def test_quotient_bracket_antisymmetry_survives():
     quot = QuotientCoefficients((JetQuotient((ZERO,), 2),))
     x = AlgebraElement(quot, {(d(1), (0, (1,))): ONE})
     assert bracket(x, x).is_zero
+
+
+# -- one term per generator --------------------------------------------------
+
+# every coefficient algebra the package builds: C, C[b1], C[b1, b2], a
+# one-point and a two-point jet quotient
+ONE_TERM_ALGEBRAS = {
+    "C": HV,
+    "C[b1]": P1,
+    "C[b1,b2]": P2,
+    "jet-1-point": QuotientCoefficients((JetQuotient((Scalar(1),), 3),)),
+    "jet-2-point": QuotientCoefficients((JetQuotient((ZERO, ONE), 3), JetQuotient((ONE, ZERO), 2))),
+}
+
+
+@st.composite
+def _one_term_brackets(draw):
+    coeffs = ONE_TERM_ALGEBRAS[draw(st.sampled_from(sorted(ONE_TERM_ALGEBRAS)))]
+    structure = draw(st.sampled_from([hv_structure, *STRUCTURE_MUTANTS.values()]))
+    keys = coeffs.keys_upto(2)
+
+    def one_term():
+        kind = draw(st.sampled_from(["d", "I", "C", "CD", "CI"]))
+        idx = draw(indices) if kind in ("d", "I") else 0
+        c = draw(scalars.filter(bool))
+        return AlgebraElement(coeffs, {(Generator(kind, idx), draw(st.sampled_from(keys))): c})
+
+    return one_term(), one_term(), structure
+
+
+@settings(max_examples=300)
+@given(_one_term_brackets())
+def test_a_bracket_of_one_term_elements_holds_one_term_per_generator(case):
+    """The axiom sweep reads [x, y].v term by term on this: no two terms of
+    the bracket share a generator, so an evaluation wrapper, which merges
+    the jet images of terms of one generator before it acts, never cancels
+    across them."""
+    x, y, structure = case
+    terms = bracket(x, y, structure).terms
+    assert len({g for g, _ in terms}) == len(terms)
 
 
 # -- sweep -------------------------------------------------------------------

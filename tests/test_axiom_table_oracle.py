@@ -3,8 +3,9 @@
 ``_reference_axiom_sweep`` is the sweep as it stood before operator rows: it
 acts by each operator on each window basis vector, then by the other operator
 on that image vector with ``module.act``, so it re-extends the columns over
-every intermediate vector.  ``axiom_sweep`` reads each operator's image on
-each basis key once and sums those rows instead.  The two must give the same
+every intermediate vector, and acts by the bracket on each window vector.
+``axiom_sweep`` reads each one-term element's image on each basis key once
+and sums those rows for both sides instead.  The two must give the same
 report: the same triple count, violation count, kept violations and
 inconclusive triples, entry for entry.
 """
@@ -16,7 +17,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hvkit import analysis
-from hvkit.algebra import I, PolynomialCoefficients, QuotientCoefficients, bracket, hv_structure
+from hvkit.algebra import (
+    AlgebraElement,
+    I,
+    PolynomialCoefficients,
+    QuotientCoefficients,
+    bracket,
+    d,
+    hv_structure,
+)
 from hvkit.analysis import AxiomSweepReport, algebra_generator_elements, axiom_sweep, unit_element
 from hvkit.errors import LevelOverflowError
 from hvkit.modules import (
@@ -99,6 +108,17 @@ def _eval_verma(point, max_level):
     return EvaluationModule(JetQuotient((Scalar(point),), 2), _verma(_b2(point), max_level))
 
 
+class _CappedSeries(IntermediateSeries):
+    """Test double: a column of an index past 2 overflows.  At index bound 2
+    every operator row reads, so only a bracket term, of index up to 4, can
+    overflow: the left side alone."""
+
+    def _column(self, kind, index, key, k):
+        if abs(index) > 2:
+            raise LevelOverflowError(f"index {index} is past the cap")
+        return super()._column(kind, index, key, k)
+
+
 # name -> (a builder of fresh handles, index bound, monomial bound, window)
 CASES = {
     "intermediate": (lambda: IntermediateSeries(HALF, Fraction(1, 3), 1), 3, 0, 3),
@@ -113,6 +133,7 @@ CASES = {
         3,
     ),
     "evaluation-order-2": (lambda: _eval_verma(0, 3), 2, 1, 1),
+    "evaluation-order-2-point-1": (lambda: _eval_verma(1, 3), 2, 1, 1),
     "verma-trivial": (lambda: _verma(PolynomialCoefficients(0), 3), 3, 0, 2),
     "verma-b2": (lambda: _verma(_b2(), 2), 2, 1, 2),
     "tensor-intermediate": (
@@ -123,6 +144,7 @@ CASES = {
     ),
     "tensor-evaluation": (lambda: TensorModule(_eval_verma(0, 2), _eval_verma(1, 2)), 1, 1, 1),
     "off-by-one-omega": (lambda: _OffByOneOmega(2, 3, (ONE,), ZERO), 2, 1, 2),
+    "left-side-overflow": (lambda: _CappedSeries(HALF, Fraction(1, 3), 1), 2, 0, 2),
     **{
         f"verma-{name}": (lambda structure=structure: _verma(_b2(), 2, structure), 2, 1, 2)
         for name, structure in STRUCTURE_MUTANTS.items()
@@ -201,3 +223,44 @@ def test_each_operator_is_rendered_once_per_sweep(monkeypatch):
     report = axiom_sweep(module, 2, 1, window=2)
     assert report.inconclusive
     assert len(renders) == len(algebra_generator_elements(module.algebra(), 2, 1))
+
+
+def test_only_the_point_1_case_reads_b_squared_on_the_left():
+    """The bracket of b.d(1) and b.d(-2) is -3 b^2.d(-1); over C[b]/(b - p)^2
+    b^2 is 2(b - 1) + 1 at p = 1 and 0 at p = 0, so only the point-1 case
+    acts by such a term on the left."""
+    x, y = [AlgebraElement(PolynomialCoefficients(1), {(g, (1,)): ONE}) for g in (d(1), d(-2))]
+    xy = bracket(x, y)
+    assert list(xy.terms) == [(d(-1), (2,))]
+    assert CASES["evaluation-order-2"][0]().translate(xy).is_zero
+    assert not CASES["evaluation-order-2-point-1"][0]().translate(xy).is_zero
+
+
+def test_a_left_side_that_overflows_alone_makes_its_triples_inconclusive():
+    """The left-side-overflow case does what its name says: in the capped
+    series only bracket terms of an index past 2 overflow, and the reference
+    counts those triples inconclusive, never violations, and checks the rest."""
+    build, index_bound, monomial_bound, window = CASES["left-side-overflow"]
+    want = _reference_axiom_sweep(build(), index_bound, monomial_bound, window)
+    assert want.inconclusive and want.clean
+    assert len(want.inconclusive) < want.triples_checked
+
+
+@pytest.mark.parametrize("name", ["verma-b2", "tensor-evaluation"])
+def test_each_term_acts_once_on_each_basis_key(name, monkeypatch):
+    """Every ``Module.act`` call of a sweep acts by a one-term element on a
+    basis vector, never by a bracket, and no (term, basis key) twice."""
+    build, index_bound, monomial_bound, window = CASES[name]
+    module = build()
+    act = type(module).act
+    seen = []
+
+    def counted(self, x, v):
+        assert len(x.terms) == 1, x
+        assert list(v.terms.values()) == [ONE], v
+        seen.append((*x.terms, *v.terms))
+        return act(self, x, v)
+
+    monkeypatch.setattr(type(module), "act", counted)
+    axiom_sweep(module, index_bound, monomial_bound, window)
+    assert seen and len(set(seen)) == len(seen)
