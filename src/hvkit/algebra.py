@@ -73,7 +73,7 @@ StructureFn = Callable[[str, int, str, int], tuple]
 
 
 def hv_structure(k1: str, n1: int, k2: str, n2: int) -> tuple:
-    """Structure constants of the bracket on basis generators."""
+    """Structure constants of the bracket on basis generators; [I_n, d_m] is -[d_m, I_n]."""
     if k1 in _CENTRAL_KINDS or k2 in _CENTRAL_KINDS:
         return ()
     if k1 == "d":
@@ -95,15 +95,7 @@ def hv_structure(k1: str, n1: int, k2: str, n2: int) -> tuple:
                 out.append(("CD", 0, c))
         return tuple(out)
     if k2 == "d":
-        # [I_n, d_m] = -[d_m, I_n]
-        out = []
-        if n1:
-            out.append(("I", n1 + n2, -n1))
-        if n2 == -n1:
-            c = n2 * n2 + n2
-            if c:
-                out.append(("CD", 0, -c))
-        return tuple(out)
+        return tuple((kind, idx, -c) for kind, idx, c in hv_structure("d", n2, "I", n1))
     if n1 == -n2 and n1:
         return (("CI", 0, n1),)
     return ()

@@ -42,7 +42,7 @@ from .errors import (
 )
 from .linalg import sparse_kernel, sparse_rref
 from .modules import (
-    MAX_WINDOW_VECTORS,  # noqa: F401 (re-exported: the window budget that window_keys applies)
+    MAX_LEVEL_MONOMIALS,
     Module,
     PBWVector,
     TruncatedVerma,
@@ -575,11 +575,13 @@ def hc_criterion_suite(module: TruncatedVerma, f: PolyB, singular_depth: int = 4
     """
     report = HcSuiteReport()
     depth = min(singular_depth, module.max_level)
-    # refuses a level too large to list, so the walk stays bounded; level 1
-    # holds two monomials per coefficient key, so this also bounds the key
-    # listings below (the ideal check and the decorated raising factors)
-    module.level_dimension(max(depth, 1))
+    module.level_dimension(depth)  # refuses a level too large to list, so the walk stays bounded
     coeffs = module.coeffs
+    # the ideal check and the decorated raising factors list every coefficient key
+    if coeffs.dimension > MAX_LEVEL_MONOMIALS:
+        raise ConfigurationError(
+            f"the coefficient algebra has {coeffs.dimension} basis keys, more than {MAX_LEVEL_MONOMIALS} to list"
+        )
     fim = coeffs.project(f)
     if not fim:
         raise ConfigurationError("f: zero in the coefficient algebra, so it decorates only zero vectors")

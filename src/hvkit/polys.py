@@ -248,21 +248,6 @@ def render_monomial(exps: MonomialExp) -> str:
     return "*".join(factors) if factors else "1"
 
 
-def poly_eval(p: PolyB, point: PointB) -> Scalar:
-    """Evaluate p at a point of C^k.  This is the ring map eta: B -> C."""
-    if len(point) != p.k:
-        raise DimensionMismatchError(f"point has {len(point)} coords, poly has k={p.k}")
-    point = tuple(scalar(x) for x in point)
-    acc = ZERO
-    for exps, c in p.terms.items():
-        val = c
-        for x, e in zip(point, exps):
-            if e:
-                val = val * x**e
-        acc = acc + val
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # jet quotients B/m^s
 # ---------------------------------------------------------------------------
@@ -317,8 +302,8 @@ def jet_expand(p: PolyB, q: JetQuotient) -> dict[MonomialExp, Scalar]:
     """Taylor coefficients of p at q.point, truncated at the quotient order.
 
     Returns the image of p in B/m^s as a map from (b - mu)^r exponents to
-    scalars.  A ring map: the degree-0 coefficient is poly_eval(p, q.point),
-    and jets multiply like the truncated ring.
+    scalars.  A ring map: the degree-0 coefficient is the value of p at
+    q.point (``poly_eval``), and jets multiply like the truncated ring.
     """
     if p.k != q.k:
         raise DimensionMismatchError(f"poly k={p.k} vs quotient k={q.k}")
@@ -337,6 +322,11 @@ def jet_expand(p: PolyB, q: JetQuotient) -> dict[MonomialExp, Scalar]:
             key = tuple(r)
             out[key] = out.get(key, ZERO) + w
     return {r: c for r, c in out.items() if not c.is_zero}
+
+
+def poly_eval(p: PolyB, point: PointB) -> Scalar:
+    """Evaluate p at a point of C^k, as its order-1 jet there.  This is the ring map eta: B -> C."""
+    return jet_expand(p, JetQuotient(point, 1)).get((0,) * len(point), ZERO)
 
 
 def jets_multiply(

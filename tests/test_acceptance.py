@@ -13,7 +13,6 @@ from fractions import Fraction
 from hvkit.algebra import (
     PolynomialCoefficients,
     QuotientCoefficients,
-    hv_structure,
     jacobi_antisymmetry_sweep,
     sweep_terms,
 )
@@ -35,6 +34,7 @@ from hvkit.modules import (
 )
 from hvkit.polys import JetQuotient, PolyB
 from hvkit.scalars import ONE, ZERO, Scalar
+from mutants import STRUCTURE_MUTANTS, OffByOneOmega
 from test_singular_oracle import _reference_singular_vectors
 
 HALF = Scalar(Fraction(1, 2))
@@ -310,35 +310,13 @@ def test_criterion_8_annihilator_orders():
     )
 
 
-def _cocycle_quadratic(k1, n1, k2, n2):
-    out = hv_structure(k1, n1, k2, n2)
-    if k1 == "d" and k2 == "d" and n1 == -n2:
-        out = tuple(t for t in out if t[0] != "C")
-        c = Fraction(n1**2 - n1, 12)
-        if c:
-            out += (("C", 0, c),)
-    return out
-
-
-def _dropped_cd(k1, n1, k2, n2):
-    out = hv_structure(k1, n1, k2, n2)
-    if k1 == "d" and k2 == "I":
-        return tuple(t for t in out if t[0] != "CD")
-    return out
-
-
-class _OffByOneOmega(OmegaModule):
-    def _lambda_power(self, n, total):
-        return self.lam ** (n - total + 1)
-
-
 def test_criterion_9_mutation_controls():
     caught = {}
-    rep = jacobi_antisymmetry_sweep(3, 1, 1, structure=_cocycle_quadratic)
+    rep = jacobi_antisymmetry_sweep(3, 1, 1, structure=STRUCTURE_MUTANTS["cocycle-quadratic"])
     caught["quadratic cocycle"] = not rep.clean
-    rep = jacobi_antisymmetry_sweep(3, 1, 1, structure=_dropped_cd)
+    rep = jacobi_antisymmetry_sweep(3, 1, 1, structure=STRUCTURE_MUTANTS["dropped-C_D"])
     caught["dropped C_D in the d-I bracket"] = not rep.clean
-    rep = axiom_sweep(_OffByOneOmega(2, 3, (ONE,), ZERO), 3, 1, window=2)
+    rep = axiom_sweep(OffByOneOmega(2, 3, (ONE,), ZERO), 3, 1, window=2)
     caught["lambda exponent off by one"] = not rep.clean
     ok = all(caught.values())
     _line(

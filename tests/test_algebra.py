@@ -32,7 +32,7 @@ from hvkit.algebra import (
 from hvkit.errors import ConfigurationError, DimensionMismatchError, ParseError
 from hvkit.polys import JetQuotient
 from hvkit.scalars import IMAG, ONE, ZERO, Scalar
-from test_level_builder_oracle import STRUCTURE_MUTANTS
+from mutants import STRUCTURE_MUTANTS
 
 P1 = PolynomialCoefficients(1)
 P2 = PolynomialCoefficients(2)
@@ -292,32 +292,13 @@ def test_sweep_refuses_past_the_budget_before_building_tables():
             jacobi_antisymmetry_sweep(*bounds)
 
 
-def corrupt_cocycle(k1, n1, k2, n2):
-    """Quadratic instead of cubic central growth: not a cocycle."""
-    out = hv_structure(k1, n1, k2, n2)
-    if k1 == "d" and k2 == "d" and n1 == -n2:
-        out = tuple(t for t in out if t[0] != "C")
-        c = Fraction(n1**2 - n1, 12)
-        if c:
-            out += (("C", 0, c),)
-    return out
-
-
-def corrupt_drop_cd(k1, n1, k2, n2):
-    """C_D missing from the (d, I) branch only; the mirrored branch keeps it."""
-    out = hv_structure(k1, n1, k2, n2)
-    if k1 == "d" and k2 == "I":
-        out = tuple(t for t in out if t[0] != "CD")
-    return out
-
-
 def test_sweep_catches_corrupted_cocycle():
-    report = jacobi_antisymmetry_sweep(3, 0, 0, structure=corrupt_cocycle)
+    report = jacobi_antisymmetry_sweep(3, 0, 0, structure=STRUCTURE_MUTANTS["cocycle-quadratic"])
     assert report.jacobi_violations
 
 
 def test_sweep_catches_dropped_central_term():
-    report = jacobi_antisymmetry_sweep(3, 0, 0, structure=corrupt_drop_cd)
+    report = jacobi_antisymmetry_sweep(3, 0, 0, structure=STRUCTURE_MUTANTS["dropped-C_D"])
     assert report.jacobi_violations or report.antisymmetry_violations
 
 

@@ -14,7 +14,6 @@ from hvkit.algebra import (
 from hvkit import analysis
 from hvkit.analysis import (
     MAX_AXIOM_TRIPLES,
-    MAX_WINDOW_VECTORS,
     WeightTuple,
     algebra_generator_elements,
     annihilator_probe,
@@ -30,6 +29,7 @@ from hvkit.analysis import (
 from hvkit.errors import ConfigurationError, UnsupportedModuleError
 from hvkit.linalg import nullspace, rank
 from hvkit.modules import (
+    MAX_WINDOW_VECTORS,
     EvaluationModule,
     HighestWeightFunctional,
     IntermediateSeries,
@@ -40,7 +40,7 @@ from hvkit.modules import (
 )
 from hvkit.polys import JetQuotient, PolyB, PolyT
 from hvkit.scalars import ONE, ZERO, Scalar
-from test_level_builder_oracle import STRUCTURE_MUTANTS
+from mutants import STRUCTURE_MUTANTS, OffByOneOmega
 
 HALF = Scalar(Fraction(1, 2))
 
@@ -86,21 +86,14 @@ def test_axiom_sweep_counts_inconclusive_on_truncation():
     assert report.inconclusive  # lowering chains overrun level 2
 
 
-class _OffByOneOmega(OmegaModule):
-    """Seeded bug: the lambda exponent is one too large."""
-
-    def _lambda_power(self, n, total):
-        return self.lam ** (n - total + 1)
-
-
 def test_axiom_sweep_catches_corrupted_action():
-    bad = _OffByOneOmega(2, 3, (Scalar(1),), 0)
+    bad = OffByOneOmega(2, 3, (Scalar(1),), 0)
     report = axiom_sweep(bad, 3, 1, window=2)
     assert report.violations
 
 
 def test_axiom_sweep_keeps_the_least_violations_and_counts_them_all(monkeypatch):
-    bad = _OffByOneOmega(2, 3, (Scalar(1),), 0)
+    bad = OffByOneOmega(2, 3, (Scalar(1),), 0)
     full = axiom_sweep(bad, 2, 1, window=1)
     assert (full.violations_found, len(full.violations)) == (80, analysis.MAX_VIOLATION_SAMPLES)
     monkeypatch.setattr(analysis, "MAX_VIOLATION_SAMPLES", 3)
@@ -110,7 +103,7 @@ def test_axiom_sweep_keeps_the_least_violations_and_counts_them_all(monkeypatch)
 
 
 def test_axiom_sweep_seed_does_not_change_findings():
-    bad = _OffByOneOmega(2, 1, (Scalar(1),), 1)
+    bad = OffByOneOmega(2, 1, (Scalar(1),), 1)
     a = axiom_sweep(bad, 2, 1, window=2, order_seed=1)
     b = axiom_sweep(bad, 2, 1, window=2, order_seed=99)
     assert a.violations == b.violations

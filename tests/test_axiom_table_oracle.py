@@ -38,8 +38,7 @@ from hvkit.modules import (
 )
 from hvkit.polys import JetQuotient
 from hvkit.scalars import ONE, ZERO, Scalar
-from test_analysis import _OffByOneOmega
-from test_level_builder_oracle import STRUCTURE_MUTANTS
+from mutants import STRUCTURE_MUTANTS, OffByOneOmega
 
 HALF = Scalar(Fraction(1, 2))
 
@@ -143,7 +142,7 @@ CASES = {
         1,
     ),
     "tensor-evaluation": (lambda: TensorModule(_eval_verma(0, 2), _eval_verma(1, 2)), 1, 1, 1),
-    "off-by-one-omega": (lambda: _OffByOneOmega(2, 3, (ONE,), ZERO), 2, 1, 2),
+    "off-by-one-omega": (lambda: OffByOneOmega(2, 3, (ONE,), ZERO), 2, 1, 2),
     "left-side-overflow": (lambda: _CappedSeries(HALF, Fraction(1, 3), 1), 2, 0, 2),
     **{
         f"verma-{name}": (lambda structure=structure: _verma(_b2(), 2, structure), 2, 1, 2)

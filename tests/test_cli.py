@@ -775,15 +775,17 @@ def test_hc_suite_counts_a_huge_quotient_before_listing_its_keys(tmp_path, capsy
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "config error: level 1 has more than 100000 PBW monomials (level 1 has 200000000), too many to list\n"
+        "config error: the coefficient algebra has 100000000 basis keys, more than 100000 to list\n"
     )
 
 
 def test_hc_suite_at_level_zero_over_a_listable_quotient(tmp_path, capsys):
-    assert _run_main(tmp_path, _hc_level_zero(20_000, [])) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("config error: bounds.level: must be >= 1 when the functional kills the ideal")
-    assert _run_main(tmp_path, _hc_level_zero(20_000, PHI_D0)) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["phi_kills_ideal"] is False and report["passed"] is True
+    # at order 50001 level 1 would hold 100002 monomials, past the budget, but level 0 lists none of them
+    for order in (20_000, 50_001):
+        assert _run_main(tmp_path, _hc_level_zero(order, [])) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: bounds.level: must be >= 1 when the functional kills the ideal")
+        assert _run_main(tmp_path, _hc_level_zero(order, PHI_D0)) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["phi_kills_ideal"] is False and report["passed"] is True

@@ -22,7 +22,6 @@ from hvkit.algebra import (
     Generator,
     PolynomialCoefficients,
     QuotientCoefficients,
-    hv_structure,
 )
 from hvkit.analysis import PbwSpotcheckReport, _reduced_levels, pbw_order_spotcheck
 from hvkit.errors import ConfigurationError
@@ -37,6 +36,7 @@ from hvkit.modules import (
 )
 from hvkit.polys import JetQuotient
 from hvkit.scalars import ONE, ZERO, Scalar
+from mutants import STRUCTURE_MUTANTS
 
 # -- the builder and chain loops as they were, kept as the oracle -------------------
 
@@ -161,27 +161,6 @@ ALGEBRAS = {
     "m3": QuotientCoefficients((JetQuotient((ZERO,), 3),)),
 }
 
-
-def _cocycle_quadratic(k1, n1, k2, n2):
-    """The Virasoro cocycle (n^3 - n)/12 replaced by (n^2 - n)/12."""
-    out = hv_structure(k1, n1, k2, n2)
-    if k1 == "d" and k2 == "d" and n1 == -n2:
-        out = tuple(t for t in out if t[0] != "C")
-        c = Fraction(n1**2 - n1, 12)
-        if c:
-            out += (("C", 0, c),)
-    return out
-
-
-def _dropped_cd(k1, n1, k2, n2):
-    """The C_D term of [d_n, I_m] left out."""
-    out = hv_structure(k1, n1, k2, n2)
-    if k1 == "d" and k2 == "I":
-        return tuple(t for t in out if t[0] != "CD")
-    return out
-
-
-STRUCTURE_MUTANTS = {"cocycle-quadratic": _cocycle_quadratic, "dropped-C_D": _dropped_cd}
 
 _fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)).filter(bool)
 

@@ -22,7 +22,6 @@ from hvkit.algebra import (
     Generator,
     PolynomialCoefficients,
     QuotientCoefficients,
-    hv_structure,
 )
 from hvkit.analysis import PbwSpotcheckReport, _reduced_levels, pbw_order_spotcheck, singular_vectors
 from hvkit.errors import ConfigurationError, LevelOverflowError
@@ -37,6 +36,7 @@ from hvkit.modules import (
 )
 from hvkit.polys import JetQuotient
 from hvkit.scalars import ONE, ZERO, Scalar
+from mutants import STRUCTURE_MUTANTS
 
 # -- the per-level spot-check, kept as the oracle ---------------------------------
 
@@ -167,14 +167,6 @@ def _reference_pbw_order_spotcheck(
 SLOTS = ("d0", "I0", "C", "C_D", "C_I")
 
 
-def _dropped_cd(k1, n1, k2, n2):
-    """The C_D term of [d_n, I_m] left out: a corrupted straightening."""
-    out = hv_structure(k1, n1, k2, n2)
-    if k1 == "d" and k2 == "I":
-        return tuple(t for t in out if t[0] != "CD")
-    return out
-
-
 def _coeffs(algebra):
     if algebra == "trivial":
         return PolynomialCoefficients(0)
@@ -215,7 +207,7 @@ def _cases(draw):
     max_level = draw(st.integers(1, 4))
     level_bound = draw(st.integers(0, 3))
     order = draw(st.sampled_from([PBW_D_FIRST, PBW_I_FIRST]))
-    structure = draw(st.sampled_from([None, _dropped_cd]))
+    structure = draw(st.sampled_from([None, STRUCTURE_MUTANTS["dropped-C_D"]]))
     return TruncatedVerma(phi, coeffs, max_level=max_level), order, level_bound, structure
 
 
@@ -236,7 +228,7 @@ def _generic(coeffs):
     return {pair: Scalar(Fraction(n + 2, 3), Fraction(n % 2, 2)) for n, pair in enumerate(pairs)}
 
 
-@pytest.mark.parametrize("structure", [None, _dropped_cd], ids=["hv", "dropped-C_D"])
+@pytest.mark.parametrize("structure", [None, STRUCTURE_MUTANTS["dropped-C_D"]], ids=["hv", "dropped-C_D"])
 @pytest.mark.parametrize("order", [PBW_D_FIRST, PBW_I_FIRST], ids=lambda o: o.name)
 def test_spotcheck_matches_the_reference_on_b2_level_3(order, structure):
     coeffs = _coeffs("b2")

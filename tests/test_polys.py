@@ -129,6 +129,16 @@ def _derivative(p: PolyB, var: int) -> PolyB:
     return PolyB(p.k, out)
 
 
+def _evaluate(p: PolyB, point) -> Scalar:
+    """p at a point, term by term (``poly_eval`` reads a jet, so the jet oracles evaluate on their own)."""
+    acc = ZERO
+    for exps, c in p.terms.items():
+        for x, e in zip(point, exps):
+            c = c * x**e
+        acc = acc + c
+    return acc
+
+
 def _jet_by_derivatives(p: PolyB, q: JetQuotient):
     """Independent oracle: coefficient at r is (d^r p)(mu) / r!."""
     out = {}
@@ -137,7 +147,7 @@ def _jet_by_derivatives(p: PolyB, q: JetQuotient):
         for var, times in enumerate(r):
             for _ in range(times):
                 dp = _derivative(dp, var)
-        value = poly_eval(dp, q.point)
+        value = _evaluate(dp, q.point)
         for e in r:
             value = value / factorial(e)
         if not value.is_zero:
@@ -174,7 +184,7 @@ def test_jet_degree_zero_is_evaluation():
     for order in (1, 2, 4):
         q = JetQuotient((Scalar(2),), order)
         jets = jet_expand(p, q)
-        assert jets.get((0,), ZERO) == poly_eval(p, q.point)
+        assert jets.get((0,), ZERO) == _evaluate(p, q.point)
 
 
 def test_jet_quotient_dimension():

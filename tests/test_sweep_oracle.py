@@ -6,7 +6,6 @@ the structure function, with no tables.  The table-driven
 and the same violation lists, entry for entry and in the same order.
 """
 
-from fractions import Fraction
 from math import comb
 
 import pytest
@@ -21,6 +20,7 @@ from hvkit.algebra import (
     jacobi_antisymmetry_sweep,
     sweep_terms,
 )
+from mutants import STRUCTURE_MUTANTS
 
 
 def _reference_sweep(
@@ -115,25 +115,6 @@ def _reference_sweep(
     return report
 
 
-def _cocycle_quadratic(k1, n1, k2, n2):
-    """Quadratic instead of cubic central growth: not a cocycle."""
-    out = hv_structure(k1, n1, k2, n2)
-    if k1 == "d" and k2 == "d" and n1 == -n2:
-        out = tuple(t for t in out if t[0] != "C")
-        c = Fraction(n1**2 - n1, 12)
-        if c:
-            out += (("C", 0, c),)
-    return out
-
-
-def _dropped_cd(k1, n1, k2, n2):
-    """C_D missing from the (d, I) branch only; the mirrored branch keeps it."""
-    out = hv_structure(k1, n1, k2, n2)
-    if k1 == "d" and k2 == "I":
-        return tuple(t for t in out if t[0] != "CD")
-    return out
-
-
 def _nterms(index_bound, monomial_bound, k):
     return (4 * index_bound + 5) * comb(monomial_bound + k, k)
 
@@ -169,7 +150,7 @@ def test_hv_structure_matches_reference(bounds):
     assert _assert_same(bounds, hv_structure).clean
 
 
-@pytest.mark.parametrize("structure", [_cocycle_quadratic, _dropped_cd])
+@pytest.mark.parametrize("structure", list(STRUCTURE_MUTANTS.values()))
 @pytest.mark.parametrize("bounds", [b for b in GRID if _nterms(*b) <= 40])
 def test_mutants_match_reference(bounds, structure):
     for max_violations in (0, 1, 20):
@@ -181,7 +162,7 @@ def test_violation_cap_default():
 
 
 def test_mutants_fire():
-    for structure in (_cocycle_quadratic, _dropped_cd):
+    for structure in STRUCTURE_MUTANTS.values():
         rep = _assert_same((3, 1, 1), structure)
         assert rep.jacobi_violations
 
