@@ -2,7 +2,7 @@
 
 Everything here is a bounded, exact check: axiom sweeps replay the bracket
 against double actions, both sides read as sums of term rows (each one-term
-element's image on each basis key, acted once per sweep), probes hunt for
+element's image on each basis key, applied once per sweep), probes hunt for
 invariant subspaces inside a finite window, and one level builder
 (``_reduced_levels``) yields the maximal submodule of a Verma module level
 by level, which singular slices and the PBW-order spot-check both read.
@@ -98,6 +98,63 @@ MAX_AXIOM_TRIPLES = 5_000_000  # the most operator pairs, and pairs x window vec
 MAX_VIOLATION_SAMPLES = 50  # the most violations an axiom-sweep report keeps (it counts them all)
 
 
+class _Overflowed:
+    """The row of a term whose image overflows a Verma truncation: reading it
+    raises, so every triple that reads it is inconclusive."""
+
+    __slots__ = ()
+
+    def items(self):
+        raise LevelOverflowError("a row of this triple saturates the truncation")
+
+
+_OVERFLOWED = _Overflowed()
+
+
+class _TermRows(dict):
+    """{basis key b: row of t on b} for one one-term element t = (generator,
+    coefficient key).  t's own terms (``module._terms``) are read once, when
+    the table is made; a row is ``module.apply`` of them on b, built on its
+    first read and kept as {key: (a, b, d)} standing for (a + b*i)/d, or
+    ``_OVERFLOWED``."""
+
+    __slots__ = ("module", "own")
+
+    def __init__(self, module: Module, t):
+        self.module = module
+        self.own = tuple(module._terms(((t, ONE),)))
+
+    def __missing__(self, b):
+        try:
+            row = {key: c.triple for key, c in self.module.apply(self.own, ((b, ONE),)).items()}
+        except LevelOverflowError:
+            row = _OVERFLOWED
+        self[b] = row
+        return row
+
+
+def _fold(acc: dict, a1: int, b1: int, d1: int, row: dict):
+    """Add (a1 + b1*i)/d1 times ``row`` into ``acc``, all as unnormalized
+    integer triples (a, b, d) with d > 0.  Nothing is reduced by a gcd, and
+    denominators are cross-multiplied only where they differ: the sweep only
+    asks whether each sum is zero, which is whether its a and b are."""
+    for key, (a2, b2, d2) in row.items():
+        if b1 or b2:
+            a, b = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+        else:
+            a, b = a1 * a2, 0
+        d = d1 * d2
+        prev = acc.get(key)
+        if prev is None:
+            acc[key] = (a, b, d)
+        else:
+            pa, pb, pd = prev
+            if pd == d:
+                acc[key] = (pa + a, pb + b, d)
+            else:
+                acc[key] = (pa * d + a * pd, pb * d + b * pd, pd * d)
+
+
 class AxiomSweepReport(Report):
     def __init__(self, index_bound: int, monomial_bound: int, window: int):
         self.index_bound = index_bound
@@ -140,14 +197,19 @@ def axiom_sweep(
     from the swept one because the bracket engine's antisymmetry is checked
     exhaustively elsewhere.  Both sides are read from term rows: the row of
     a one-term element t = (generator, coefficient key) on a basis key b is
-    ``module.act`` of t on the basis vector of b, built the first time the
-    sweep meets (t, b), on a window key or on a key an image reaches, and
-    read by every triple that needs it.  So x.(y.v) is the sum over the
-    terms c.b of y.v of c times x's row on b, [x, y].v is the sum over the
-    terms c.t of ``bracket(x, y)`` of c times t's row on v, and each triple
-    sums x.(y.v) - y.(x.v) - [x, y].v in one accumulator: a violation when
-    any entry is nonzero.  ``module.act`` stays the only linear extension
-    and never receives a bracket.  Reading the bracket term by term is
+    ``module.apply`` of t's own terms (``module._terms``: the evaluation
+    wrapper's merged jet image, a tensor product's two sides; read once per
+    sweep) on b, built the first time the sweep meets (t, b), on a window
+    key or on a key an image reaches, and read by every triple that needs
+    it.  No row builds an algebra element or a vector, and none is checked
+    against the algebra: the operators are built over ``module.algebra()``.
+    So x.(y.v) is the sum over the terms c.b of y.v of c times x's row on
+    b, [x, y].v is the sum over the terms c.t of ``bracket(x, y)`` of c
+    times t's row on v, and each triple sums x.(y.v) - y.(x.v) - [x, y].v
+    in one accumulator of unnormalized integer triples (a, b, d), read as
+    (a + b*i)/d: a violation when any entry has a or b nonzero.  That is
+    exact without a gcd, because only whether each sum is zero is asked.
+    No module acts by a bracket.  Reading the bracket term by term is
     exact, overflows included, because the bracket of two one-term
     elements holds at most one term per generator (``multiply`` gives at
     most one key), so an evaluation wrapper's merged jet images never
@@ -183,29 +245,23 @@ def axiom_sweep(
         random.Random(order_seed).shuffle(pairs)
     report.triples_checked = len(pairs) * len(keys)
 
-    # rows[t][b]: the terms of the one-term element t on the basis vector of
-    # b, or _OVERFLOW; built the first time the sweep meets (t, b)
-    _OVERFLOW = "overflow"
+    # rows[t]: the _TermRows of the one-term element t, made the first time
+    # the sweep meets t
     rows: dict = {}
 
-    def row(t, b) -> dict:
+    def rows_of(t) -> _TermRows:
         table = rows.get(t)
         if table is None:
-            table = rows[t] = {}
-        hit = table.get(b)
-        if hit is None:
-            try:
-                hit = module.act(AlgebraElement(coeffs, {t: ONE}), module.basis_vector(b)).terms
-            except LevelOverflowError:
-                hit = _OVERFLOW
-            table[b] = hit
-        if hit is _OVERFLOW:
-            raise LevelOverflowError(f"{t} on {b} saturates the truncation")
-        return hit
+            table = rows[t] = _TermRows(module, t)
+        return table
 
+    op_rows = [rows_of(t) for t in terms]
     for i, j in pairs:
-        ti, tj = terms[i], terms[j]
-        xy = bracket(ops[i], ops[j]).terms.items()
+        ri, rj = op_rows[i], op_rows[j]
+        xy = []  # -[x, y], term by term: (rows of t, -c as a triple)
+        for t, c in bracket(ops[i], ops[j]).terms.items():
+            a, b, d = c.triple
+            xy.append((rows_of(t), -a, -b, d))
         for key in keys:
             # x.(y.v) - y.(x.v) - [x, y].v in one accumulator, x = ops[i],
             # y = ops[j] and v the basis vector of key; three loops, because
@@ -213,27 +269,19 @@ def axiom_sweep(
             # tenth of an axiom-sweep pass
             acc: dict = {}
             try:
-                wy, wx = row(tj, key), row(ti, key)
-                for b1, c1 in wy.items():
-                    for b2, c2 in row(ti, b1).items():
-                        c = c1 * c2
-                        prev = acc.get(b2)
-                        acc[b2] = c if prev is None else prev + c
-                for b1, c1 in wx.items():
-                    for b2, c2 in row(tj, b1).items():
-                        c = c1 * c2
-                        prev = acc.get(b2)
-                        acc[b2] = -c if prev is None else prev - c
-                for t, c1 in xy:
-                    for b2, c2 in row(t, key).items():
-                        c = c1 * c2
-                        prev = acc.get(b2)
-                        acc[b2] = -c if prev is None else prev - c
+                for b1, (a, b, d) in rj[key].items():
+                    _fold(acc, a, b, d, ri[b1])
+                for b1, (a, b, d) in ri[key].items():
+                    _fold(acc, -a, -b, d, rj[b1])
+                for rt, a, b, d in xy:
+                    _fold(acc, a, b, d, rt[key])
             except LevelOverflowError:
                 report.inconclusive.append((texts[i], texts[j], str(key)))
                 continue
-            if any(acc.values()):
-                report.violations.append((texts[i], texts[j], str(key)))
+            for a, b, _d in acc.values():
+                if a or b:
+                    report.violations.append((texts[i], texts[j], str(key)))
+                    break
     report.violations_found = len(report.violations)
     report.violations.sort()
     del report.violations[MAX_VIOLATION_SAMPLES:]

@@ -2,11 +2,11 @@
 
 A family defines only its column: ``_column(kind, index, key, basis_key)``,
 the (basis key, coefficient) pairs of one decorated generator
-``kind_index (x) key`` acting on one basis vector.  :meth:`Module.act` is the
-package's one linear extension: it checks the element, extends the column
-linearly over the terms the family reads x as (``_terms``: the terms of x,
-except for the evaluation wrapper and tensor products) and the coordinates
-of v, and builds the vector.  The families and their columns:
+``kind_index (x) key`` acting on one basis vector.  :meth:`Module.apply` is the
+package's one linear extension: it sums the column over the terms the family
+reads x as (``_terms``: the terms of x, except for the evaluation wrapper and
+tensor products) and the coordinates of v.  :meth:`Module.act` checks the
+element, calls it and builds the vector.  The families and their columns:
 
 * ``IntermediateSeries`` -- weight lines v_{alpha+k} indexed by integer
   offsets; d_i shifts a line by i with coefficient alpha + k + beta*i, I_i
@@ -18,8 +18,9 @@ of v, and builds the vector.  The families and their columns:
 * ``EvaluationModule`` -- wraps a module over a single jet quotient (or over
   the core algebra when the order is 1) into a module over the polynomial
   map algebra: x (x) p acts through the jet expansion of p, so the wrapper
-  reads x as its merged image in the inner algebra (``translate``) and its
-  column is the inner module's column.
+  reads x as its merged image in the inner algebra (``_merged``, which
+  ``translate`` wraps as an element) and its column is the inner module's
+  column.
 * ``TruncatedVerma`` -- the highest-weight module induced from a functional
   on the zero part, materialized on its PBW basis up to a truncation level.
   One PBW rule (``_leads``: a lowering factor may stand in front of a
@@ -164,21 +165,35 @@ class Module(Frozen):
         raise NotImplementedError
 
     def act(self, x: AlgebraElement, v):
-        """x . v, the family's column extended linearly over x and v."""
+        """x . v: the element is checked against the module's algebra, read as
+        the family's own terms (``_terms``) and extended over by :meth:`apply`."""
         self._check_element(x)
-        coords = v.terms.items()
+        return self.vector_type(self.apply(self._terms(x.terms.items()), v.terms.items()))
+
+    def apply(self, own_terms, coords) -> dict:
+        """The one linear extension: {basis key: nonzero coefficient} of the
+        column summed over ``own_terms`` (((generator, key), coefficient) pairs,
+        as ``_terms`` gives) and ``coords`` ((basis key, coefficient) pairs).
+        Unchecked: the axiom sweep calls it on one term's own terms and one
+        basis key, so no row builds an element or a vector."""
         column = self._column
         out: dict = {}
-        for ((kind, index), key), c in self._terms(x):
+        for ((kind, index), key), c in own_terms:
             for b, cv in coords:
-                cc = c * cv
+                cc = c if cv is ONE else c * cv
                 for b2, c2 in column(kind, index, key, b):
-                    out[b2] = out.get(b2, ZERO) + cc * c2
-        return self.vector_type(out)
+                    if cc is not ONE:  # basis vectors and a sweep's terms carry ONE: no product
+                        c2 = cc * c2
+                    prev = out.get(b2)
+                    out[b2] = c2 if prev is None else prev + c2
+        return {b2: c for b2, c in out.items() if c}
 
-    def _terms(self, x: AlgebraElement):
-        """((generator, key), coefficient) pairs the column is extended over."""
-        return x.terms.items()
+    def _terms(self, pairs):
+        """The ((generator, key), coefficient) pairs the column is extended over,
+        from an element's (term, coefficient) pairs: those pairs themselves,
+        except for the evaluation wrapper and tensor products.  ``pairs`` may
+        be read more than once."""
+        return pairs
 
     def basis_vector(self, key):
         return self.vector_type({key: ONE})
@@ -437,21 +452,27 @@ class EvaluationModule(Module):
             self._jet_cache[exps] = jets
         return jets
 
+    def _merged(self, pairs) -> dict:
+        """{(generator, inner key): nonzero coefficient}: the jet images of an
+        element's (term, coefficient) pairs, merged."""
+        acc: dict = {}
+        for (g, exps), c in pairs:
+            for key, jc in self._jets(exps):
+                tk = (g, key)
+                prev = acc.get(tk)
+                acc[tk] = c * jc if prev is None else prev + c * jc
+        return {tk: c for tk, c in acc.items() if c}
+
     def translate(self, x: AlgebraElement) -> AlgebraElement:
         """Image of an element of the polynomial map algebra in the inner algebra."""
         self._check_element(x)
-        acc: dict = {}
-        for (g, exps), c in x.terms.items():
-            for key, jc in self._jets(exps):
-                tk = (g, key)
-                acc[tk] = acc.get(tk, ZERO) + c * jc
-        return AlgebraElement(self.inner.algebra(), acc)
+        return AlgebraElement(self.inner.algebra(), self._merged(x.terms.items()))
 
     act = Module.act  # own class-dict entry: bench/spans.py wraps it per family
 
-    def _terms(self, x):
+    def _terms(self, pairs):
         # merged first, so terms whose jet images cancel never act
-        return self.inner._terms(self.translate(x))
+        return self.inner._terms(self._merged(pairs).items())
 
     def _column(self, kind, index, key, basis_key):
         return self.inner._column(kind, index, key, basis_key)
@@ -748,10 +769,10 @@ class TensorModule(Module):
 
     act = Module.act  # own class-dict entry: bench/spans.py wraps it per family
 
-    def _terms(self, x):
+    def _terms(self, pairs):
         # Leibniz: each factor reads x its own way; the key carries the side
-        return [((g, (0, key)), c) for (g, key), c in self.left._terms(x)] + [
-            ((g, (1, key)), c) for (g, key), c in self.right._terms(x)
+        return [((g, (0, key)), c) for (g, key), c in self.left._terms(pairs)] + [
+            ((g, (1, key)), c) for (g, key), c in self.right._terms(pairs)
         ]
 
     def _column(self, kind, index, key, pair):

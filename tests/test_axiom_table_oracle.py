@@ -7,9 +7,13 @@ every intermediate vector, and acts by the bracket on each window vector.
 ``axiom_sweep`` reads each one-term element's image on each basis key once
 and sums those rows for both sides instead.  The two must give the same
 report: the same triple count, violation count, kept violations and
-inconclusive triples, entry for entry.
+inconclusive triples, entry for entry.  The sweep sums its triples as
+unnormalized integer triples, so cases with mixed denominators (a Gaussian
+series, an Ω with fractional lambda and mu) and a test double whose only
+violations are purely imaginary check that sum for exactness.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -118,13 +122,38 @@ class _CappedSeries(IntermediateSeries):
         return super()._column(kind, index, key, k)
 
 
+class _ImaginarySlipSeries(IntermediateSeries):
+    """Test double: I_n, n != 0, adds i/6 to its coefficient on line 1.  The
+    parameters are real, and no double action reads two slipped entries
+    (that would take I_0 on line 1), so each violation is purely imaginary:
+    a sweep that tests only real parts for zero finds none."""
+
+    def _column(self, kind, index, key, k):
+        if kind == "I" and index and k == 1:
+            return ((k + index, self.f + Scalar(0, Fraction(1, 6))),)
+        return super()._column(kind, index, key, k)
+
+
 # name -> (a builder of fresh handles, index bound, monomial bound, window)
 CASES = {
     "intermediate": (lambda: IntermediateSeries(HALF, Fraction(1, 3), 1), 3, 0, 3),
     "intermediate-drop-line": (lambda: IntermediateSeries.primed_zero(), 3, 0, 3),
+    "intermediate-gaussian": (
+        lambda: IntermediateSeries(Scalar(Fraction(1, 3), Fraction(1, 2)), Fraction(2, 5), Scalar(Fraction(3, 7), -1)),
+        3,
+        0,
+        3,
+    ),
+    "imaginary-slip": (lambda: _ImaginarySlipSeries(HALF, Fraction(1, 3), 1), 3, 0, 3),
     "omega-k0": (lambda: OmegaModule(2, 3, (), Fraction(1, 2)), 3, 0, 3),
     "omega-k1": (lambda: OmegaModule(Fraction(1, 3), 1, (ONE,), 2), 2, 2, 3),
     "omega-k2": (lambda: OmegaModule(2, 0, (ONE, HALF), 1), 2, 1, 2),
+    "omega-mixed-denominators": (
+        lambda: OmegaModule(Fraction(2, 3), Fraction(1, 5), (HALF,), Fraction(3, 4)),
+        2,
+        2,
+        3,
+    ),
     "evaluation-order-1": (
         lambda: EvaluationModule(JetQuotient((Scalar(2),), 1), IntermediateSeries(HALF, 0, 1)),
         2,
@@ -181,10 +210,25 @@ def test_rows_match_the_vector_reference_in_any_pair_order(name, order_seed):
 
 def test_the_cases_exercise_violations_and_truncation():
     """The differential cases include real violations and real overflows."""
-    for name in ("off-by-one-omega", *(f"verma-{m}" for m in STRUCTURE_MUTANTS)):
+    for name in ("off-by-one-omega", "imaginary-slip", *(f"verma-{m}" for m in STRUCTURE_MUTANTS)):
         assert _both_sweeps(name, None)[1].violations_found, name
     for name in ("evaluation-order-2", "verma-trivial", "verma-b2", "tensor-evaluation"):
         assert _both_sweeps(name, None)[1].inconclusive, name
+
+
+def test_the_imaginary_slip_violates_in_imaginary_parts_only():
+    """Every nonzero entry of [x, y].v - (x.(y.v) - y.(x.v)) in the
+    imaginary-slip case has a zero real part and a nonzero imaginary part."""
+    build, index_bound, monomial_bound, window = CASES["imaginary-slip"]
+    module = build()
+    ops = algebra_generator_elements(module.algebra(), index_bound, monomial_bound)
+    parts = set()
+    for x, y in itertools.combinations(ops, 2):
+        for key in module.window_keys(window):
+            v = module.basis_vector(key)
+            gap = module.act(bracket(x, y), v) - (module.act(x, module.act(y, v)) - module.act(y, module.act(x, v)))
+            parts.update((bool(c.re), bool(c.im)) for c in gap.terms.values())
+    assert parts == {(False, True)}
 
 
 def test_a_row_overflowing_outside_the_window_makes_the_triple_inconclusive():
@@ -247,19 +291,40 @@ def test_a_left_side_that_overflows_alone_makes_its_triples_inconclusive():
 
 @pytest.mark.parametrize("name", ["verma-b2", "tensor-evaluation"])
 def test_each_term_acts_once_on_each_basis_key(name, monkeypatch):
-    """Every ``Module.act`` call of a sweep acts by a one-term element on a
-    basis vector, never by a bracket, and no (term, basis key) twice."""
+    """Every ``Module.apply`` call of a sweep applies the own terms of a
+    one-term element (one generator) to a basis key, never a bracket's, and
+    no (term, basis key) twice."""
     build, index_bound, monomial_bound, window = CASES[name]
     module = build()
-    act = type(module).act
+    apply = type(module).apply
     seen = []
 
-    def counted(self, x, v):
-        assert len(x.terms) == 1, x
-        assert list(v.terms.values()) == [ONE], v
-        seen.append((*x.terms, *v.terms))
-        return act(self, x, v)
+    def counted(self, own_terms, coords):
+        assert len({g for (g, _key), _c in own_terms}) == 1, own_terms
+        assert [c for _b, c in coords] == [ONE], coords
+        seen.append((own_terms, *(b for b, _c in coords)))
+        return apply(self, own_terms, coords)
 
-    monkeypatch.setattr(type(module), "act", counted)
+    monkeypatch.setattr(type(module), "apply", counted)
+    axiom_sweep(module, index_bound, monomial_bound, window)
+    assert seen and len(set(seen)) == len(seen)
+
+
+@pytest.mark.parametrize("name", ["evaluation-order-2", "tensor-evaluation"])
+def test_each_term_reads_its_own_terms_once_per_sweep(name, monkeypatch):
+    """The merged jet image of a one-term element (both sides of it, on a
+    tensor product) is computed once per sweep, whatever rows read it."""
+    build, index_bound, monomial_bound, window = CASES[name]
+    module = build()
+    own_terms = type(module)._terms
+    seen = []
+
+    def counted(self, pairs):
+        ((t, c),) = pairs
+        assert c == ONE
+        seen.append(t)
+        return own_terms(self, pairs)
+
+    monkeypatch.setattr(type(module), "_terms", counted)
     axiom_sweep(module, index_bound, monomial_bound, window)
     assert seen and len(set(seen)) == len(seen)
