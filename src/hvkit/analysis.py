@@ -458,8 +458,10 @@ def _reduced_levels(module: TruncatedVerma, level: int, raising: str):
     dim M_m = dim V_m - len(R_m).  The rows at level m are the quotient
     coordinates of e.u, one factor e acting once on each basis monomial u,
     read straight from the module's column (the straightening of e.u); their
-    exact elimination gives R_m.  This is the package's one call site of
-    ``sparse_rref``, one call per level m >= 1.  The reads, one column per
+    elimination gives R_m.  This is the package's one call site of
+    ``sparse_rref``, one call per level m >= 1; where it certifies full
+    column rank, R_m is the identity and its coordinates are ``ONE``, which
+    the next level's rows take without a product.  The reads, one column per
     factor of index <= m and monomial of V_m at each level m, are counted
     before the first, and more than ``MAX_BUILDER_READS`` is refused with
     ConfigurationError.
@@ -488,7 +490,7 @@ def _reduced_levels(module: TruncatedVerma, level: int, raising: str):
                 for m2, c in column(kind, index, key, mono):
                     for i, rc in below.get(m2, {}).items():
                         row = fac_rows.setdefault(i, {})
-                        row[j] = row.get(j, ZERO) + c * rc
+                        row[j] = row.get(j, ZERO) + (c if rc is ONE else c * rc)
             rows.extend(fac_rows.values())
         reduced = sparse_rref(rows)
         yield reduced

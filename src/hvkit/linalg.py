@@ -17,11 +17,24 @@ reduction.  Every row operation ends with one ``gcd`` that keeps the row
 primitive (numerators and denominator coprime), and a pivot row is scaled so
 that its pivot reads 1, i.e. its pivot numerator equals its denominator.
 
+Before any of that, a certificate: the integer rows are mapped to F_P, with
+P = 1,073,741,789 (the largest prime below 2**30 that is 1 mod 4) and i
+mapped to S, a square root of -1 mod P, and eliminated there until their
+rank reaches the number of distinct columns they use or can no longer reach
+it.  Reduction mod P is a ring map from the Gaussian rationals whose
+denominators are prime to P, so a rank can only drop under it: full rank
+mod P means full rank over Q(i), and the reduced row echelon form of such
+rows is the identity on their columns, which is returned as it is.  This is
+exact, not probabilistic.  A row whose denominator P divides, or a rank that
+falls short mod P, sends the rows to the exact elimination, and since a
+reduced row echelon form is unique, the output is the same either way.
+
 ``row_reduce``, ``rank`` and ``nullspace`` are dense-list adapters over it.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Iterable
 
@@ -155,14 +168,71 @@ def _eliminate(int_rows: list, gaussian: bool) -> dict:
     return pivots
 
 
+# -- the certificate: full column rank modulo P ------------------------------------
+
+P = 1_073_741_789  # the largest prime below 2**30 that is 1 mod 4
+S = 140_687_844  # a square root of -1 mod P, the image of i
+
+
+def _full_rank_mod_p(int_rows: list, gaussian: bool, ncols: int) -> bool:
+    """Whether the integer rows reach rank ``ncols`` modulo P, with i mapped to S.
+
+    Forward elimination only: rows are taken shortest first and reduced
+    against the pivot rows found so far, each pivot row scaled so that its
+    pivot reads 1 and holding only columns before its pivot, its greatest
+    column.  The run stops as soon as the rank reaches ``ncols`` or the rows
+    left cannot reach it.  A row whose denominator P divides has no image,
+    and the answer is then False.
+    """
+    pivots: dict = {}  # pivot column -> the rest of its row
+    left = len(int_rows)
+    for nums, den in sorted(int_rows, key=lambda r: len(r[0])):
+        if len(pivots) == ncols:
+            break
+        if len(pivots) + left < ncols or not den % P:
+            return False
+        left -= 1
+        inv = pow(den, -1, P)
+        if gaussian:
+            row = {c: x for c, (a, b) in nums.items() if (x := (a + b * S) * inv % P)}
+        else:
+            row = {c: x for c, a in nums.items() if (x := a * inv % P)}
+        # clear pivot columns greatest first (a max-heap of negated columns):
+        # a pivot row only brings in columns before its pivot
+        todo = [-c for c in row if c in pivots]
+        heapify(todo)
+        while todo:
+            c = -heappop(todo)
+            f = row.pop(c, 0)
+            if not f:
+                continue
+            for k, v in pivots[c].items():
+                x = (row.get(k, 0) - f * v) % P
+                if not x:
+                    del row[k]
+                else:
+                    if k not in row and k in pivots:
+                        heappush(todo, -k)
+                    row[k] = x
+        if row:
+            p = max(row)
+            inv = pow(row.pop(p), -1, P)
+            pivots[p] = {c: v * inv % P for c, v in row.items()}
+    return len(pivots) == ncols
+
+
 def sparse_rref(rows: Iterable[SparseRow]) -> list[tuple[int, SparseRow]]:
     """Reduced row echelon form of sparse rows.
 
     Returns the nonzero rows as (pivot column, row) pairs sorted by pivot
     column; each pivot entry is 1 and every other pivot column is zero in
-    the row.  The input rows are not modified.
+    the row.  The input rows are not modified.  Rows of full column rank
+    modulo P give the identity on their columns without exact elimination.
     """
     int_rows, gaussian = _integer_rows(rows)
+    columns = {c for nums, _den in int_rows for c in nums}
+    if _full_rank_mod_p(int_rows, gaussian, len(columns)):
+        return [(c, {c: ONE}) for c in sorted(columns)]
     pivots = sorted(_eliminate(int_rows, gaussian).items())
     make = Scalar.from_triple
     if gaussian:

@@ -6,22 +6,26 @@ rows, with every entry updated by ``Scalar`` arithmetic.  A reduced row
 echelon form is unique, so ``linalg.sparse_rref`` must return exactly what
 the reference returns, on every input, and must leave its input alone.
 The contract tests check the integer rows inside the eliminator: each one
-primitive over a positive denominator, each pivot reading 1.
+primitive over a positive denominator, each pivot reading 1.  The
+certificate tests check its constants, that rows of full column rank never
+reach the exact elimination, that rank-deficient rows still get their exact
+reduced form (a row with a denominator P divides, i times a row, a 3x3 of
+rank 2), and that the level builder takes each path where it should.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hvkit import analysis, linalg
-from hvkit.algebra import QuotientCoefficients
+from hvkit.algebra import PolynomialCoefficients, QuotientCoefficients
 from hvkit.analysis import singular_vectors
 from hvkit.linalg import sparse_rref
 from hvkit.modules import HighestWeightFunctional, TruncatedVerma
 from hvkit.polys import JetQuotient
-from hvkit.scalars import ONE, ZERO, Scalar
+from hvkit.scalars import IMAG, ONE, ZERO, Scalar
 
 # -- the previous eliminator, kept as the oracle ------------------------------------
 
@@ -226,3 +230,122 @@ def test_singular_slices_match_the_reference_eliminator(kind, monkeypatch):
     assert got == want
     assert got_reduced == want_reduced
     assert len(got_reduced) == level
+
+
+# -- the certificate: full column rank modulo P ---------------------------------------
+
+
+def _is_prime(n):
+    return n > 1 and all(n % q for q in range(2, isqrt(n) + 1))
+
+
+def test_the_certificate_constants():
+    P, S = linalg.P, linalg.S
+    assert _is_prime(P) and P % 4 == 1 and P < 2**30
+    assert not any(_is_prime(n) and n % 4 == 1 for n in range(P + 1, 2**30))
+    assert S * S % P == P - 1
+
+
+def _refuse(*_args):
+    raise AssertionError("exact elimination of rows of full column rank")
+
+
+_SMALL_GAUSSIAN = st.tuples(_SMALL, _SMALL.filter(bool)).map(lambda p: Scalar(*p))
+
+
+@st.composite
+def full_rank_matrices(draw, gaussian=True):
+    """Rows of full rank on the up to 10 columns they use, over Q(i) and mod P.
+
+    A triangle over the drawn columns in drawn order, each diagonal entry
+    small and nonzero (so nonzero mod P as well, its norm being below P),
+    plus up to 6 further rows on the same columns, all shuffled.
+    """
+    cols = draw(st.lists(st.integers(0, 40), min_size=1, max_size=10, unique=True))
+    entry = st.one_of(_REAL, _GAUSSIAN) if gaussian else _REAL
+    diagonal = _SMALL_GAUSSIAN if gaussian else _SMALL.filter(bool).map(Scalar)
+    rows = []
+    for k, c in enumerate(cols):
+        later = draw(st.sets(st.sampled_from(cols[k + 1:]))) if k + 1 < len(cols) else set()
+        rows.append({c: draw(diagonal), **{x: draw(entry) for x in sorted(later)}})
+    rows += draw(st.lists(st.dictionaries(st.sampled_from(cols), entry, max_size=len(cols)), max_size=6))
+    return draw(st.permutations(rows))
+
+
+def _check_certified(rows):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_eliminate", _refuse)
+        _check_against_reference(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(full_rank_matrices())
+def test_full_column_rank_rows_are_certified(rows):
+    _check_certified(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(full_rank_matrices(gaussian=False))
+def test_full_column_rank_real_rows_are_certified(rows):
+    _check_certified(rows)
+
+
+def _counting_eliminations(monkeypatch) -> list:
+    calls = []
+    eliminate = linalg._eliminate
+
+    def counting(int_rows, gaussian):
+        calls.append(len(int_rows))
+        return eliminate(int_rows, gaussian)
+
+    monkeypatch.setattr(linalg, "_eliminate", counting)
+    return calls
+
+
+
+@pytest.mark.parametrize(
+    "rows, want",
+    [
+        (
+            [{0: Scalar(Fraction(1, linalg.P)), 1: ONE}, {0: ONE, 1: Scalar(linalg.P)}],
+            [(0, {0: ONE, 1: Scalar(linalg.P)})],
+        ),
+        ([{0: ONE, 1: IMAG}, {0: IMAG, 1: -ONE}], [(0, {0: ONE, 1: IMAG})]),
+        (
+            [{c: Scalar(3 * r + c + 1) for c in range(3)} for r in range(3)],
+            [(0, {0: ONE, 2: -ONE}), (1, {1: ONE, 2: Scalar(2)})],
+        ),
+    ],
+    ids=["denominator-P", "i-times-a-row", "rank-2-of-3"],
+)
+def test_rank_deficient_rows_take_the_exact_path(rows, want, monkeypatch):
+    calls = _counting_eliminations(monkeypatch)
+    assert sparse_rref(rows) == want
+    assert len(calls) == 1
+    _check_against_reference(rows)
+
+
+# -- both paths in the level builder ---------------------------------------------------
+
+
+@pytest.mark.parametrize("kind, slice_dim", [("generic", 0), ("gaussian", 0), ("degenerate", 216)])
+def test_the_script_functionals_are_certified_at_every_level_up_to_5(kind, slice_dim, monkeypatch):
+    """tools/singular_levels.py's functionals over C[b]/(b^2): every level's
+    rows have full rank on the columns they use."""
+    monkeypatch.setattr(linalg, "_eliminate", _refuse)
+    coeffs = QuotientCoefficients((JetQuotient((ZERO,), 2),))
+    module = TruncatedVerma(_functional(kind, coeffs), coeffs, max_level=5)
+    assert len(singular_vectors(module, 5)) == slice_dim
+
+
+def test_the_kac_functional_takes_the_exact_path_at_level_2(monkeypatch):
+    """c = 1/2 and h = -phi(d0) = 1/16 on trivial B, every Heisenberg value 0:
+    the Virasoro singular vector L(-2) - 4/3 L(-1)^2 at level 2, d = -L."""
+    calls = _counting_eliminations(monkeypatch)
+    coeffs = PolynomialCoefficients(0)
+    phi = HighestWeightFunctional({("d0", ()): Scalar(Fraction(-1, 16)), ("C", ()): Scalar(Fraction(1, 2))})
+    module = TruncatedVerma(phi, coeffs, max_level=2)
+    exact = [len(calls) for _reduced in analysis._reduced_levels(module, 2, "generators")]
+    assert exact == [0, 0, 1]
+    rendered = [v.render(coeffs) for v in singular_vectors(module, 2)]
+    assert "d(-2)·hw + 4/3*d(-1)·d(-1)·hw" in rendered
