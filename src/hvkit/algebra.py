@@ -280,18 +280,6 @@ class AlgebraElement(Combination):
             return 0
         return degs.pop() if len(degs) == 1 else None
 
-    def grade_split(self):
-        """Split into (negative, zero, positive) graded parts; they sum back."""
-        neg, zero, pos = {}, {}, {}
-        for (g, key), c in self.terms.items():
-            bucket = zero if g.degree == 0 else (pos if g.degree > 0 else neg)
-            bucket[(g, key)] = c
-        return (
-            AlgebraElement(self.coeffs, neg),
-            AlgebraElement(self.coeffs, zero),
-            AlgebraElement(self.coeffs, pos),
-        )
-
     def render(self) -> str:
         return render_element(self)
 
@@ -323,8 +311,13 @@ def zero_element(coeffs) -> AlgebraElement:
 
 
 def bracket(x: AlgebraElement, y: AlgebraElement, structure: StructureFn = hv_structure) -> AlgebraElement:
-    """The Lie bracket, extended to the map algebra by multiplying keys."""
-    x._check(y)
+    """The Lie bracket, extended to the map algebra by multiplying keys.
+
+    Elements over one coefficient object skip the algebra check, a product
+    by a ``ONE`` coefficient is skipped, and a key's first term is stored as
+    it is."""
+    if x.coeffs is not y.coeffs:
+        x._check(y)
     multiply = x.coeffs.multiply
     acc: dict = {}
     for (g1, k1), c1 in x.terms.items():
@@ -332,12 +325,14 @@ def bracket(x: AlgebraElement, y: AlgebraElement, structure: StructureFn = hv_st
             struct = structure(g1.kind, g1.index, g2.kind, g2.index)
             if not struct:
                 continue
-            c12 = c1 * c2
+            c12 = c2 if c1 is ONE else (c1 if c2 is ONE else c1 * c2)
             for key3, cm in multiply(k1, k2):
                 base = c12 if cm == 1 else c12 * cm
                 for kind, idx, sc in struct:
                     tk = (Generator(kind, idx), key3)
-                    acc[tk] = acc.get(tk, ZERO) + base * sc
+                    c = base * sc
+                    prev = acc.get(tk)
+                    acc[tk] = c if prev is None else prev + c
     return AlgebraElement(x.coeffs, acc)
 
 

@@ -29,6 +29,7 @@ from .algebra import (
     Generator,
     PolynomialCoefficients,
     Report,
+    _interner,
     bracket,
     d,
     generator_count,
@@ -112,21 +113,27 @@ _OVERFLOWED = _Overflowed()
 
 
 class _TermRows(dict):
-    """{basis key b: row of t on b} for one one-term element t = (generator,
-    coefficient key).  t's own terms (``module._terms``) are read once, when
-    the table is made; a row is ``module.apply`` of them on b, built on its
-    first read and kept as {key: (a, b, d)} standing for (a + b*i)/d, or
-    ``_OVERFLOWED``."""
+    """{id of a basis key b: row of t on b} for one one-term element t =
+    (generator, coefficient key).  Basis keys are read through one sweep's
+    ids: ``keys[id]`` is the key, and ``intern`` gives each key it has not
+    met the next id.  t's own terms (``module._terms``) are read once, when
+    the table is made; a row is ``module.apply`` of them on ``keys[b]``,
+    built on its first read and kept as {id: (a, b, d)} standing for
+    (a + b*i)/d, or ``_OVERFLOWED``."""
 
-    __slots__ = ("module", "own")
+    __slots__ = ("module", "own", "keys", "intern")
 
-    def __init__(self, module: Module, t):
+    def __init__(self, module: Module, t, keys: list, intern):
         self.module = module
         self.own = tuple(module._terms(((t, ONE),)))
+        self.keys = keys
+        self.intern = intern
 
     def __missing__(self, b):
+        intern = self.intern
         try:
-            row = {key: c.triple for key, c in self.module.apply(self.own, ((b, ONE),)).items()}
+            image = self.module.apply(self.own, ((self.keys[b], ONE),))
+            row = {intern(key): c.triple for key, c in image.items()}
         except LevelOverflowError:
             row = _OVERFLOWED
         self[b] = row
@@ -209,6 +216,12 @@ def axiom_sweep(
     in one accumulator of unnormalized integer triples (a, b, d), read as
     (a + b*i)/d: a violation when any entry has a or b nonzero.  That is
     exact without a gcd, because only whether each sum is zero is asked.
+    Rows and accumulators are keyed by small integer ids that the sweep
+    gives the basis keys it meets, the window's keys first (window key v
+    has id v) and then each key a row reaches, as the row is built;
+    ``apply`` sees the key itself, and so do the report's entries.  Hashing
+    an int costs a fraction of hashing a PBW monomial or a tensor key pair,
+    and a triple hashes a key up to three times per row entry it folds.
     No module acts by a bracket.  Reading the bracket term by term is
     exact, overflows included, because the bracket of two one-term
     elements holds at most one term per generator (``multiply`` gives at
@@ -245,6 +258,9 @@ def axiom_sweep(
         random.Random(order_seed).shuffle(pairs)
     report.triples_checked = len(pairs) * len(keys)
 
+    # basis keys as ids: the window's first, so window key v has id v
+    key_of, intern = _interner(keys)
+    window_ids = range(len(keys))
     # rows[t]: the _TermRows of the one-term element t, made the first time
     # the sweep meets t
     rows: dict = {}
@@ -252,7 +268,7 @@ def axiom_sweep(
     def rows_of(t) -> _TermRows:
         table = rows.get(t)
         if table is None:
-            table = rows[t] = _TermRows(module, t)
+            table = rows[t] = _TermRows(module, t, key_of, intern)
         return table
 
     op_rows = [rows_of(t) for t in terms]
@@ -262,25 +278,25 @@ def axiom_sweep(
         for t, c in bracket(ops[i], ops[j]).terms.items():
             a, b, d = c.triple
             xy.append((rows_of(t), -a, -b, d))
-        for key in keys:
+        for v in window_ids:
             # x.(y.v) - y.(x.v) - [x, y].v in one accumulator, x = ops[i],
-            # y = ops[j] and v the basis vector of key; three loops, because
-            # building one list of the three parts per triple cost about a
-            # tenth of an axiom-sweep pass
+            # y = ops[j] and v the basis vector of window key v; three loops,
+            # because building one list of the three parts per triple cost
+            # about a tenth of an axiom-sweep pass
             acc: dict = {}
             try:
-                for b1, (a, b, d) in rj[key].items():
+                for b1, (a, b, d) in rj[v].items():
                     _fold(acc, a, b, d, ri[b1])
-                for b1, (a, b, d) in ri[key].items():
+                for b1, (a, b, d) in ri[v].items():
                     _fold(acc, -a, -b, d, rj[b1])
                 for rt, a, b, d in xy:
-                    _fold(acc, a, b, d, rt[key])
+                    _fold(acc, a, b, d, rt[v])
             except LevelOverflowError:
-                report.inconclusive.append((texts[i], texts[j], str(key)))
+                report.inconclusive.append((texts[i], texts[j], str(keys[v])))
                 continue
             for a, b, _d in acc.values():
                 if a or b:
-                    report.violations.append((texts[i], texts[j], str(key)))
+                    report.violations.append((texts[i], texts[j], str(keys[v])))
                     break
     report.violations_found = len(report.violations)
     report.violations.sort()
@@ -535,6 +551,7 @@ def in_maximal_submodule(module: TruncatedVerma, v: PBWVector) -> bool:
     level-0 slice being zero.  The same recursion as the level builder, but
     walked over the reachable cone of the given vector, one visit per line
     (scaled so its least monomial reads 1): a line that failed ends the walk.
+    The walk is a module-level function, so no call leaves a reference cycle.
     """
     by_level: dict[int, dict] = {}
     for mono, c in v.terms.items():
@@ -542,22 +559,26 @@ def in_maximal_submodule(module: TruncatedVerma, v: PBWVector) -> bool:
         by_level.setdefault(lvl, {})[mono] = c
     ops = _factor_elements(module.coeffs, _raising_factors(module, 2, "generators"))
     walked: set = set()
+    return all(_cone_in_submodule(module, ops, walked, PBWVector(part), lvl) for lvl, part in by_level.items())
 
-    def rec(vec: PBWVector, level: int) -> bool:
-        if vec.is_zero:
-            return True
-        if level == 0:
-            return False
-        lead = vec.terms[min(vec.terms)]
-        line = vec if lead == 1 else vec * (ONE / lead)
-        if line in walked:
-            return True
-        walked.add(line)
-        return all(
-            rec(module.act(op, vec), level - fac[1]) for fac, op in ops.items() if fac[1] <= level
-        )
 
-    return all(rec(PBWVector(part), lvl) for lvl, part in by_level.items())
+def _cone_in_submodule(module: TruncatedVerma, ops: dict, walked: set, vec: PBWVector, level: int) -> bool:
+    """The walk of ``in_maximal_submodule`` from ``vec`` at ``level``; ``walked``
+    holds the lines already visited."""
+    if vec.is_zero:
+        return True
+    if level == 0:
+        return False
+    lead = vec.terms[min(vec.terms)]
+    line = vec if lead == 1 else vec * (ONE / lead)
+    if line in walked:
+        return True
+    walked.add(line)
+    return all(
+        _cone_in_submodule(module, ops, walked, module.act(op, vec), level - fac[1])
+        for fac, op in ops.items()
+        if fac[1] <= level
+    )
 
 
 # ---------------------------------------------------------------------------

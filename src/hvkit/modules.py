@@ -45,7 +45,7 @@ returns the family's ``_window_keys``.
 
 A handle is :class:`~hvkit.scalars.Frozen`, but it is not stateless: it fills
 unbounded memo caches as it acts (``OmegaModule._term_cache``,
-``TruncatedVerma._cache`` and ``_level_cache``,
+``TruncatedVerma._cache``, ``_level_cache`` and ``_lift_cache``,
 ``EvaluationModule._jet_cache``).  Entries are only ever added, each a
 deterministic function of its key, so results do not depend on call order;
 the memory is held until the handle is dropped.  Cached dicts and lists are
@@ -60,6 +60,7 @@ sweeps when its config names none.  So a new family is its row plus its class.
 
 from __future__ import annotations
 
+from math import comb
 from typing import Callable, NamedTuple
 
 from .algebra import (
@@ -280,7 +281,10 @@ class IntermediateSeries(Module):
 
     def _column(self, kind, index, key, k):
         if kind == "d":
-            w = self.alpha + k + self.beta * index
+            # alpha + k + beta*index as one triple over one denominator
+            a1, b1, d1 = self.alpha.triple
+            a2, b2, d2 = self.beta.triple
+            w = Scalar.from_triple((a1 + k * d1) * d2 + a2 * index * d1, b1 * d2 + b2 * index * d1, d1 * d2)
         elif kind == "I":
             w = self.f
         else:
@@ -362,19 +366,35 @@ class OmegaModule(Module):
     act = Module.act  # own class-dict entry: bench/spans.py wraps it per family
 
     def _column(self, kind, n, exps, j):
-        """Coordinates of one decorated generator on t^j, cached per handle."""
+        """Coordinates of one decorated generator on t^j, cached per handle:
+        the nonzero ones, ascending in degree.  With s = ``_scale(n, exps)``,
+        d_n reads s (t - n)^j (t - n*alpha) and I_n reads s*beta (t - n)^j,
+        expanded by the binomial theorem: (t - n)^j is the sum of
+        c_k t^k, c_k = C(j, k) (-n)^(j - k), so the d column at t^k is
+        s (c_{k-1} - n*alpha c_k), summed as one integer triple over
+        alpha's denominator and scaled by s once."""
         if kind not in ("d", "I"):
             return ()
         key = (kind, n, exps, j)
         hit = self._term_cache.get(key)
         if hit is None:
             s = self._scale(n, exps)
-            shifted = PolyT.t_power(j).shift(n)
+            binom = [comb(j, i) * (-n) ** (j - i) for i in range(j + 1)]
+            hit = []
             if kind == "d":
-                image = s * (shifted * PolyT((-n * self.alpha, ONE)))
+                sa, sb, sd = s.triple
+                a, b, d = self.alpha.triple
+                prev = 0  # c_{deg-1}
+                for deg, c in enumerate(binom + [0]):
+                    x, y = prev * d - c * n * a, -c * n * b  # (x + y*i)/d is c_{deg-1} - n*alpha c_deg
+                    re, im = x * sa - y * sb, x * sb + y * sa
+                    if re or im:
+                        hit.append((deg, Scalar.from_triple(re, im, d * sd)))
+                    prev = c
             else:
-                image = (s * self.beta) * shifted
-            hit = image.terms.items()
+                sbeta = s * self.beta
+                if sbeta:
+                    hit = [(deg, sbeta * c) for deg, c in enumerate(binom) if c]
             self._term_cache[key] = hit
         return hit
 
@@ -582,7 +602,7 @@ class TruncatedVerma(Module):
     vector_type = PBWVector
     default_window = 2
 
-    __slots__ = ("phi", "coeffs", "max_level", "order", "structure", "_cache", "_level_cache")
+    __slots__ = ("phi", "coeffs", "max_level", "order", "structure", "_cache", "_level_cache", "_lift_cache")
 
     def __init__(
         self,
@@ -612,6 +632,7 @@ class TruncatedVerma(Module):
         object.__setattr__(self, "structure", structure)
         object.__setattr__(self, "_cache", {})
         object.__setattr__(self, "_level_cache", {})
+        object.__setattr__(self, "_lift_cache", {})
 
     def algebra(self):
         return self.coeffs
@@ -640,6 +661,18 @@ class TruncatedVerma(Module):
         """The PBW rule: ``fac`` may stand in front of ``mono`` in a basis monomial."""
         return not mono or self.order.key(fac) <= self.order.key(mono[0])
 
+    def _lift(self, kind: str, idx: int, u_kind: str, u_idx: int) -> tuple:
+        """``structure(kind, idx, u_kind, u_idx)`` with each constant lifted to
+        a Scalar (1 to ``ONE``, which straightening multiplies by without a
+        product), once per handle and generator pair."""
+        pair = (kind, idx, u_kind, u_idx)
+        lifted = self._lift_cache.get(pair)
+        if lifted is None:
+            lifted = self._lift_cache[pair] = tuple(
+                (k3, n3, ONE if sc == 1 else scalar(sc)) for k3, n3, sc in self.structure(*pair)
+            )
+        return lifted
+
     def _act_term(self, kind: str, idx: int, key, mono) -> dict:
         cache_key = (kind, idx, key, mono)
         hit = self._cache.get(cache_key)
@@ -659,17 +692,21 @@ class TruncatedVerma(Module):
             (u_kind, u_idx, u_key), rest = mono[0], mono[1:]
             out = {}
             # [x, u] . rest
-            struct = self.structure(kind, idx, u_kind, u_idx)
+            struct = self._lift(kind, idx, u_kind, u_idx)
             if struct:
                 for key3, cm in self.coeffs.multiply(key, u_key):
                     for k3, n3, sc in struct:
-                        c3 = scalar(sc) if cm == 1 else scalar(sc) * cm
+                        c3 = sc if cm == 1 else sc * cm
                         for m2, c2 in self._act_term(k3, n3, key3, rest).items():
-                            out[m2] = out.get(m2, ZERO) + c3 * c2
+                            c = c2 if c3 is ONE else (c3 if c2 is ONE else c3 * c2)
+                            prev = out.get(m2)
+                            out[m2] = c if prev is None else prev + c
             # u . (x . rest)
             for m2, c2 in self._act_term(kind, idx, key, rest).items():
                 for m3, c3 in self._act_term(u_kind, u_idx, u_key, m2).items():
-                    out[m3] = out.get(m3, ZERO) + c2 * c3
+                    c = c3 if c2 is ONE else (c2 if c3 is ONE else c2 * c3)
+                    prev = out.get(m3)
+                    out[m3] = c if prev is None else prev + c
             out = {m: c for m, c in out.items() if not c.is_zero}
         self._cache[cache_key] = out
         return out

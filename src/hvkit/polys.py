@@ -328,18 +328,3 @@ def poly_eval(p: PolyB, point: PointB) -> Scalar:
     """Evaluate p at a point of C^k, as its order-1 jet there.  This is the ring map eta: B -> C."""
     return jet_expand(p, JetQuotient(point, 1)).get((0,) * len(point), ZERO)
 
-
-def jets_multiply(
-    q: JetQuotient,
-    a: dict[MonomialExp, Scalar],
-    b: dict[MonomialExp, Scalar],
-) -> dict[MonomialExp, Scalar]:
-    """Product of two jet-coefficient maps in the truncated ring."""
-    out: dict[MonomialExp, Scalar] = {}
-    for r, cr in a.items():
-        for s, cs in b.items():
-            key = q.multiply_exps(r, s)
-            if key is None:
-                continue
-            out[key] = out.get(key, ZERO) + cr * cs
-    return {r: c for r, c in out.items() if not c.is_zero}

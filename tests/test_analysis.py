@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -402,6 +403,20 @@ def test_membership_agrees_with_kernel():
             assert in_maximal_submodule(M, vec)
     hw = M.highest_weight_vector()
     assert not in_maximal_submodule(M, M.act(gen_elt(HV, d(-2)), hw))
+
+
+def test_membership_leaves_no_reference_cycle():
+    # with the collector off, a cycle would outlive the call and be counted
+    # by the next collection, the module handle and its caches among it
+    M = TruncatedVerma(HighestWeightFunctional({}), PolynomialCoefficients(0), max_level=4)
+    vec = M.act(gen_elt(HV, d(-2)), M.highest_weight_vector())
+    gc.collect()
+    gc.disable()
+    try:
+        assert in_maximal_submodule(M, vec)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # -- highest-weight criterion suite -------------------------------------------
