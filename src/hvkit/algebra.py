@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple
 
 from .errors import ConfigurationError, DimensionMismatchError, ParseError
 from .polys import PolyB, exponent_count, exponents_upto, jet_expand
-from .scalars import ONE, ZERO, Combination, Frozen, parse_scalar, render_scalar, scalar
+from .scalars import ONE, ZERO, Combination, Frozen, parse_scalar, render_coefficient, scalar
 
 _CENTRAL_KINDS = ("C", "CD", "CI")
 _KINDS = ("d", "I") + _CENTRAL_KINDS
@@ -126,10 +126,10 @@ class PolynomialCoefficients(Frozen):
         object.__setattr__(self, "k", int(k))
 
     def multiply(self, r, s):
-        return (((tuple(a + b for a, b in zip(r, s))), 1),)
+        return tuple(a + b for a, b in zip(r, s))
 
     def unit_keys(self):
-        return (((0,) * self.k, ONE),)
+        return ((0,) * self.k,)
 
     def keys_upto(self, bound: int) -> list:
         return exponents_upto(self.k, bound)
@@ -206,15 +206,16 @@ class QuotientCoefficients(Frozen):
         return 0 <= i < len(self.quotients) and _is_exponents(r, self.k) and sum(r) < self.quotients[i].order
 
     def multiply(self, key1, key2):
+        """The product key, or None when it is zero (different points, or past the jet order)."""
         i, r = key1
         j, s = key2
         if i != j:
-            return ()
+            return None
         out = self.quotients[i].multiply_exps(r, s)
-        return () if out is None else (((i, out), 1),)
+        return None if out is None else (i, out)
 
     def unit_keys(self):
-        return tuple(((i, (0,) * self.k), ONE) for i in range(len(self.quotients)))
+        return tuple((i, (0,) * self.k) for i in range(len(self.quotients)))
 
     def keys_upto(self, bound: int) -> list:
         """The basis keys of total degree <= bound, without listing the rest."""
@@ -323,16 +324,15 @@ def bracket(x: AlgebraElement, y: AlgebraElement, structure: StructureFn = hv_st
     for (g1, k1), c1 in x.terms.items():
         for (g2, k2), c2 in y.terms.items():
             struct = structure(g1.kind, g1.index, g2.kind, g2.index)
-            if not struct:
+            key3 = multiply(k1, k2) if struct else None
+            if key3 is None:
                 continue
             c12 = c2 if c1 is ONE else (c1 if c2 is ONE else c1 * c2)
-            for key3, cm in multiply(k1, k2):
-                base = c12 if cm == 1 else c12 * cm
-                for kind, idx, sc in struct:
-                    tk = (Generator(kind, idx), key3)
-                    c = base * sc
-                    prev = acc.get(tk)
-                    acc[tk] = c if prev is None else prev + c
+            for kind, idx, sc in struct:
+                tk = (Generator(kind, idx), key3)
+                c = c12 * sc
+                prev = acc.get(tk)
+                acc[tk] = c if prev is None else prev + c
     return AlgebraElement(x.coeffs, acc)
 
 
@@ -631,10 +631,7 @@ def render_element(x: AlgebraElement) -> str:
         elif c == -1:
             parts.append(f"-{body}")
         else:
-            sc = render_scalar(c)
-            if "+" in sc[1:] or "-" in sc[1:]:
-                sc = f"({sc})"
-            parts.append(f"{sc}*{body}")
+            parts.append(f"{render_coefficient(c)}*{body}")
     text = parts[0]
     for p in parts[1:]:
         text += f" - {p[1:]}" if p.startswith("-") else f" + {p}"

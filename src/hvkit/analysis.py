@@ -77,7 +77,7 @@ def _decorated(coeffs, g: Generator, image: dict) -> AlgebraElement:
 
 def unit_element(coeffs, g: Generator) -> AlgebraElement:
     """g tensored with the unit of the coefficient algebra."""
-    return _decorated(coeffs, g, dict(coeffs.unit_keys()))
+    return _decorated(coeffs, g, dict.fromkeys(coeffs.unit_keys(), ONE))
 
 
 def algebra_generator_elements(coeffs, index_bound: int, monomial_bound: int) -> list:
@@ -224,9 +224,9 @@ def axiom_sweep(
     and a triple hashes a key up to three times per row entry it folds.
     No module acts by a bracket.  Reading the bracket term by term is
     exact, overflows included, because the bracket of two one-term
-    elements holds at most one term per generator (``multiply`` gives at
-    most one key), so an evaluation wrapper's merged jet images never
-    cancel across its terms.  A Verma truncation overflow inside a triple,
+    elements holds at most one term per generator (``multiply`` returns
+    one product key or ``None``), so an evaluation wrapper's merged jet
+    images never cancel across its terms.  A Verma truncation overflow inside a triple,
     in any row it reads, is recorded as inconclusive for that triple, never
     as a violation.  Each operator is rendered once, for the report's
     entries.  More than ``MAX_AXIOM_TRIPLES`` operator pairs (counted before
@@ -345,6 +345,12 @@ def weight_table(module: Module, window: int = 4) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _refuse_actions(nops: int, keys: list, probe: str) -> None:
+    """Refuse ``nops`` operators on each of ``keys`` past ``MAX_AXIOM_TRIPLES`` actions."""
+    if nops * len(keys) > MAX_AXIOM_TRIPLES:
+        raise ConfigurationError(f"{probe} acts more than {MAX_AXIOM_TRIPLES} times")
+
+
 class WindowReport(Report):
     def __init__(self, window: int, operator_bound: int, verdict: str, witness: dict | None = None):
         self.window = window
@@ -414,7 +420,8 @@ def probe_irreducible(module: Module, window: int = 4, operator_bound: int = 3) 
     tests closure of the degree-shifted subspace t*C[t].  An evaluation
     wrapper reads its inner module's vectors, so it is probed as that module.
     Witnesses are conclusive; the irreducible verdict is only as strong as
-    the window.
+    the window.  Generators times window vectors past ``MAX_AXIOM_TRIPLES`` are
+    refused with ``ConfigurationError`` before any operator is built.
     """
     if window < 1 or operator_bound < 1:
         raise ConfigurationError("window and operator bound must be >= 1")
@@ -422,6 +429,7 @@ def probe_irreducible(module: Module, window: int = 4, operator_bound: int = 3) 
     probe = _PROBES.get(module.vector_type)
     if probe is None:
         raise UnsupportedModuleError(f"no reducibility probe for the {module.family} family")
+    _refuse_actions(generator_count(operator_bound), keys, f"a probe over operator {operator_bound}, window {window}")
     witness = probe(module, keys, operator_bound)
     verdict = "window-irreducible" if witness is None else "reducible-with-witness"
     return WindowReport(window, operator_bound, verdict, witness)
@@ -676,8 +684,9 @@ def hc_criterion_suite(module: TruncatedVerma, f: PolyB, singular_depth: int = 4
     for bkey in coeffs.basis_keys():
         prod: dict = {}
         for fkey, fc in fim.items():
-            for key2, cm in coeffs.multiply(fkey, bkey):
-                prod[key2] = prod.get(key2, ZERO) + (fc if cm == 1 else fc * cm)
+            key2 = coeffs.multiply(fkey, bkey)
+            if key2 is not None:
+                prod[key2] = prod.get(key2, ZERO) + fc
         if any(not c.is_zero for c in prod.values()):
             ideal_span.append(prod)
     report.phi_kills_ideal = all(
@@ -769,7 +778,9 @@ def annihilator_probe(
 
     For an order-s evaluation wrapper every generator of m^s must
     annihilate, and the m^{s-1} generators must not.  A zero polynomial
-    kills every module, so it is refused with ConfigurationError.
+    kills every module, so it is refused with ConfigurationError, and so are
+    operators times window vectors past ``MAX_AXIOM_TRIPLES``, before any
+    operator is built.
     """
     coeffs = module.algebra()
     if not isinstance(coeffs, PolynomialCoefficients):
@@ -777,8 +788,11 @@ def annihilator_probe(
     for i, p in enumerate(generators):
         if p.is_zero:
             raise ConfigurationError(f"generators[{i}]: zero polynomial, so it annihilates every vector")
+    keys = module.window_keys(window)
+    nops = len(generators) * generator_count(index_bound)
+    _refuse_actions(nops, keys, f"an annihilator probe over index {index_bound}, window {window}")
     report = AnnihilatorReport(window, index_bound)
-    basis = [module.basis_vector(key) for key in module.window_keys(window)]
+    basis = [module.basis_vector(key) for key in keys]
     for p in generators:
         image = coeffs.project(p)
         ops = [_decorated(coeffs, g, image) for g in generators_upto(index_bound)]

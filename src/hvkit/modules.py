@@ -17,10 +17,10 @@ element, calls it and builds the vector.  The families and their columns:
   multiplication by t).  lambda must be nonzero.  Vectors are ``PolyT``.
 * ``EvaluationModule`` -- wraps a module over a single jet quotient (or over
   the core algebra when the order is 1) into a module over the polynomial
-  map algebra: x (x) p acts through the jet expansion of p, so the wrapper
-  reads x as its merged image in the inner algebra (``_merged``, which
-  ``translate`` wraps as an element) and its column is the inner module's
-  column.
+  map algebra: x (x) p acts through the jet expansion of p, each jet read
+  as an inner key through one map (``_keys``), so the wrapper reads x as
+  its merged image in the inner algebra (``_merged``, which ``translate``
+  wraps as an element) and its column is the inner module's column.
 * ``TruncatedVerma`` -- the highest-weight module induced from a functional
   on the zero part, materialized on its PBW basis up to a truncation level.
   One PBW rule (``_leads``: a lowering factor may stand in front of a
@@ -79,7 +79,7 @@ from .errors import (
     ParseError,
 )
 from .polys import JetQuotient, PolyB, PolyT, jet_expand
-from .scalars import ONE, ZERO, Combination, Frozen, Scalar, parse_scalar, render_scalar, scalar
+from .scalars import ONE, ZERO, Combination, Frozen, Scalar, parse_scalar, render_coefficient, render_scalar, scalar
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +101,7 @@ class WeightVector(Combination):
         for k in sorted(self.terms):
             c = self.terms[k]
             body = f"v[{k}]"
-            parts.append(body if c == 1 else f"{render_scalar(c)}*{body}")
+            parts.append(body if c == 1 else f"{render_coefficient(c)}*{body}")
         return " + ".join(parts)
 
 
@@ -128,10 +128,7 @@ class PBWVector(Combination):
         for mono in sorted(self.terms):
             c = self.terms[mono]
             body = "·".join([factor_text(f) for f in mono] + ["hw"])
-            if c == 1:
-                parts.append(body)
-            else:
-                parts.append(f"{render_scalar(c)}*{body}")
+            parts.append(body if c == 1 else f"{render_coefficient(c)}*{body}")
         return " + ".join(parts)
 
 
@@ -430,12 +427,13 @@ class EvaluationModule(Module):
     x (x) p acts as x (x) jet_expand(p): for order 1 this is the scalar
     eta(p) times the core-algebra action (single point evaluation); for
     higher orders the inner module must live over the quotient algebra of
-    the jet (generalized evaluation).
+    the jet (generalized evaluation).  Either way ``_keys`` sends each jet
+    exponent to its inner key (order 1's one jet to the core key ``()``).
     """
 
     family = "evaluation"
 
-    __slots__ = ("quotient", "inner", "_mode", "_coeffs", "_jet_cache")
+    __slots__ = ("quotient", "inner", "_keys", "_coeffs", "_jet_cache")
 
     def __init__(self, quotient: JetQuotient, inner: Module):
         object.__setattr__(self, "quotient", quotient)
@@ -448,13 +446,14 @@ class EvaluationModule(Module):
                 raise ConfigurationError(
                     "a core-algebra inner module supports only order-1 evaluation"
                 )
-            object.__setattr__(self, "_mode", "scalar")
-        elif inner_alg == QuotientCoefficients((quotient,)):
-            object.__setattr__(self, "_mode", "jet")
-        else:
+        elif inner_alg != QuotientCoefficients((quotient,)):
             raise DimensionMismatchError(
                 "inner module must live over the wrapped jet quotient"
             )
+        n = quotient.dimension  # the key map lists every jet; the two bases share one order by construction
+        if n > MAX_LEVEL_MONOMIALS:
+            raise ConfigurationError(f"the jet quotient has {n} keys, more than {MAX_LEVEL_MONOMIALS} to list")
+        object.__setattr__(self, "_keys", dict(zip(quotient.basis(), inner_alg.basis_keys())))
 
     def algebra(self):
         return self._coeffs
@@ -464,12 +463,7 @@ class EvaluationModule(Module):
         jets = self._jet_cache.get(exps)
         if jets is None:
             expanded = jet_expand(PolyB.monomial(exps), self.quotient)
-            if self._mode == "scalar":
-                eta = expanded.get((0,) * self.quotient.k)
-                jets = [] if eta is None else [((), eta)]
-            else:
-                jets = [((0, r), jc) for r, jc in expanded.items()]
-            self._jet_cache[exps] = jets
+            jets = self._jet_cache[exps] = [(self._keys[r], jc) for r, jc in expanded.items()]
         return jets
 
     def _merged(self, pairs) -> dict:
@@ -693,14 +687,13 @@ class TruncatedVerma(Module):
             out = {}
             # [x, u] . rest
             struct = self._lift(kind, idx, u_kind, u_idx)
-            if struct:
-                for key3, cm in self.coeffs.multiply(key, u_key):
-                    for k3, n3, sc in struct:
-                        c3 = sc if cm == 1 else sc * cm
-                        for m2, c2 in self._act_term(k3, n3, key3, rest).items():
-                            c = c2 if c3 is ONE else (c3 if c2 is ONE else c3 * c2)
-                            prev = out.get(m2)
-                            out[m2] = c if prev is None else prev + c
+            key3 = self.coeffs.multiply(key, u_key) if struct else None
+            if key3 is not None:
+                for k3, n3, c3 in struct:
+                    for m2, c2 in self._act_term(k3, n3, key3, rest).items():
+                        c = c2 if c3 is ONE else (c3 if c2 is ONE else c3 * c2)
+                        prev = out.get(m2)
+                        out[m2] = c if prev is None else prev + c
             # u . (x . rest)
             for m2, c2 in self._act_term(kind, idx, key, rest).items():
                 for m3, c3 in self._act_term(u_kind, u_idx, u_key, m2).items():

@@ -23,7 +23,7 @@ import itertools
 from math import comb
 
 from .errors import ConfigurationError, DimensionMismatchError
-from .scalars import ONE, ZERO, Combination, Frozen, Scalar, render_scalar, scalar
+from .scalars import ONE, ZERO, Combination, Frozen, Scalar, render_coefficient, render_scalar, scalar
 
 MonomialExp = tuple[int, ...]
 PointB = tuple[Scalar, ...]
@@ -144,9 +144,7 @@ class PolyT(Combination):
             elif c == -1:
                 body = f"-{mono}"
             else:
-                sc = render_scalar(c)
-                sc = f"({sc})" if ("+" in sc[1:] or "-" in sc[1:]) else sc
-                body = f"{sc}*{mono}"
+                body = f"{render_coefficient(c)}*{mono}"
             parts.append(body)
         text = parts[0]
         for p in parts[1:]:
@@ -230,9 +228,7 @@ class PolyB(Combination):
             elif c == 1:
                 parts.append(mono)
             else:
-                sc = render_scalar(c)
-                sc = f"({sc})" if ("+" in sc[1:] or "-" in sc[1:]) else sc
-                parts.append(f"{sc}*{mono}")
+                parts.append(f"{render_coefficient(c)}*{mono}")
         return " + ".join(parts)
 
     def __repr__(self):

@@ -286,6 +286,14 @@ def render_scalar(s: Scalar) -> str:
     return f"{_render_rational(re)}{sign}{imag}"
 
 
+def render_coefficient(s: Scalar) -> str:
+    """``render_scalar(s)`` as the factor in front of a ``*``: parenthesized
+    when it is a sum (both parts nonzero), so ``(1/2+i)*t`` reads back as one
+    coefficient."""
+    text = render_scalar(s)
+    return f"({text})" if s.re and s.im else text
+
+
 _CHUNK = _re.compile(r"[+-][^+-]+")
 
 

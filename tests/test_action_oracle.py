@@ -115,7 +115,7 @@ def _ref_translate(self, x: AlgebraElement) -> AlgebraElement:
     acc: dict = {}
     for (g, exps), c in x.terms.items():
         jets = jet_expand(PolyB.monomial(exps), self.quotient)
-        if self._mode == "scalar":
+        if isinstance(self.inner.algebra(), PolynomialCoefficients):  # the core algebra: order 1
             eta = jets.get((0,) * self.quotient.k)
             if eta is None:
                 continue

@@ -266,6 +266,47 @@ def test_a_bracket_of_one_term_elements_holds_one_term_per_generator(case):
     assert len({g for g, _ in terms}) == len(terms)
 
 
+# -- one key product ---------------------------------------------------------
+
+exps2 = st.tuples(st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=4))
+
+
+@st.composite
+def _quotient_keys(draw):
+    """A quotient over one to three distinct points in C^2 and two of its basis keys."""
+    points = draw(st.lists(st.tuples(indices, indices), min_size=1, max_size=3, unique=True))
+    orders = [draw(st.integers(min_value=1, max_value=4)) for _ in points]
+    coeffs = QuotientCoefficients(tuple(JetQuotient(p, s) for p, s in zip(points, orders)))
+    return coeffs, draw(st.sampled_from(coeffs.basis_keys())), draw(st.sampled_from(coeffs.basis_keys()))
+
+
+@settings(max_examples=200)
+@given(exps2, exps2)
+def test_a_polynomial_product_is_the_exponent_sum(r, s):
+    key = P2.multiply(r, s)
+    assert key == (r[0] + s[0], r[1] + s[1])
+    assert P2.is_basis_key(key)
+    assert P2.unit_keys() == ((0, 0),)
+    assert P2.multiply(P2.unit_keys()[0], r) == r
+
+
+@settings(max_examples=200)
+@given(_quotient_keys())
+def test_a_jet_product_is_one_key_or_none(case):
+    """The exponent sum at one point, None past the jet order or across points."""
+    coeffs, (i, r), (j, s) = case
+    key = coeffs.multiply((i, r), (j, s))
+    total = tuple(a + b for a, b in zip(r, s))
+    if i == j and sum(total) < coeffs.quotients[i].order:
+        assert key == (i, total)
+        assert coeffs.is_basis_key(key)
+    else:
+        assert key is None
+    units = coeffs.unit_keys()
+    assert units == tuple((p, (0, 0)) for p in range(len(coeffs.quotients)))
+    assert coeffs.multiply(units[i], (i, r)) == (i, r)
+
+
 # -- sweep -------------------------------------------------------------------
 
 

@@ -159,6 +159,28 @@ def test_axiom_sweep_refuses_too_many_pairs_before_building(monkeypatch, module,
         axiom_sweep(module, *bounds, window=2)
 
 
+@pytest.mark.parametrize(
+    "name,actions,run",
+    [
+        # 13 generators within operator 2, on the 5 lines of window 2
+        ("a probe over operator 2, window 2", 65,
+         lambda: probe_irreducible(IntermediateSeries(HALF, 0, 1), window=2, operator_bound=2)),
+        # two polynomials times 9 generators within index 1, on the 3 lines of window 1
+        ("an annihilator probe over index 1, window 1", 54,
+         lambda: annihilator_probe(EvaluationModule(q_at(2, 1), IntermediateSeries(HALF, 0, 1)),
+                                   [PolyB(1, {(1,): ONE}), PolyB(1, {(0,): ONE})], window=1, index_bound=1)),
+    ],
+    ids=["probe", "annihilator"],
+)
+def test_probes_count_their_actions_before_building_an_operator(monkeypatch, name, actions, run):
+    monkeypatch.setattr(analysis, "MAX_AXIOM_TRIPLES", actions)
+    run()
+    monkeypatch.setattr(analysis, "MAX_AXIOM_TRIPLES", actions - 1)
+    monkeypatch.setattr(analysis, "_decorated", _no_operators)
+    with pytest.raises(ConfigurationError, match=f"^{name} acts more than {actions - 1} times$"):
+        run()
+
+
 def test_axiom_sweep_refuses_too_many_triples_before_checking(monkeypatch):
     # index 200: 805 operators, 323,610 pairs; window 8 has 17 lines
     monkeypatch.setattr(analysis, "bracket", _no_operators)

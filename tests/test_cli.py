@@ -121,6 +121,17 @@ def test_singular_vectors_command():
     assert report["dimension"] == len(report["vectors"])
 
 
+def test_a_gaussian_singular_vector_reads_as_itself():
+    """Billig's p = 2 case on trivial B: phi(I0) = 3/2+3i and phi(C_D) = 1/2+i at
+    level 2.  The Gaussian coefficient is one parenthesized factor."""
+    phi = [{"gen": "I0", "exp": [], "value": "3/2+3*i"}, {"gen": "C_D", "exp": [], "value": "1/2+i"}]
+    code, text = run_config(
+        {"command": "singular-vectors", "module": {"family": "verma", "max_level": 2, "phi": phi}, "bounds": {"level": 2}}
+    )
+    assert code == 0
+    assert json.loads(text)["vectors"] == ["I(-2)·hw + (-2/5+4/5*i)*I(-1)·I(-1)·hw"]
+
+
 def test_singular_vectors_requires_verma():
     with pytest.raises(ConfigurationError, match="module.family"):
         run_config({"command": "singular-vectors", "module": OMEGA})
@@ -478,8 +489,17 @@ def test_hc_suite_walks_each_line_once(tmp_path, capsys):
             {"command": "jacobi-sweep", "bounds": {"index": 0, "monomial": 0, "k": 10**9}},
             "config error: a sweep over monomial 0, k 1000000000 stores 1000000000 exponent entries, more than 1000000",
         ),
+        (
+            {"command": "probe-irreducible", "module": INTERMEDIATE, "bounds": {"operator": 10**9}},
+            "config error: a probe over operator 1000000000, window 4 acts more than 5000000 times",
+        ),
+        (
+            {"command": "annihilator", "module": INTERMEDIATE, "generators": [ONE_F], "bounds": {"index": 10**9}},
+            "config error: an annihilator probe over index 1000000000, window 2 acts more than 5000000 times",
+        ),
     ],
-    ids=["hc-suite-level-25", "jacobi-sweep-40-2-2", "check-axioms-index-3000", "jacobi-sweep-k-1e9"],
+    ids=["hc-suite-level-25", "jacobi-sweep-40-2-2", "check-axioms-index-3000", "jacobi-sweep-k-1e9",
+         "probe-operator-1e9", "annihilator-index-1e9"],
 )
 def test_work_past_the_budget_exits_2(tmp_path, capsys, config, diagnostic):
     start = time.perf_counter()

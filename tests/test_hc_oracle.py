@@ -117,8 +117,9 @@ def _reference_hc_criterion_suite(module: TruncatedVerma, f: PolyB, singular_dep
     for bkey in basis_keys:
         prod: dict = {}
         for fkey, fc in fim.items():
-            for key2, cm in coeffs.multiply(fkey, bkey):
-                prod[key2] = prod.get(key2, ZERO) + (fc if cm == 1 else fc * cm)
+            key2 = coeffs.multiply(fkey, bkey)
+            if key2 is not None:
+                prod[key2] = prod.get(key2, ZERO) + fc
         if any(not c.is_zero for c in prod.values()):
             ideal_span.append(prod)
     kills = True

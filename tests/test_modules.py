@@ -18,6 +18,7 @@ from hvkit.algebra import (
     C_D,
     C_I,
 )
+from hvkit import modules
 from hvkit.errors import ConfigurationError, DimensionMismatchError, LevelOverflowError
 from hvkit.modules import (
     MAX_LEVEL_MONOMIALS,
@@ -35,7 +36,7 @@ from hvkit.modules import (
     module_from_descriptor,
 )
 from hvkit.polys import JetQuotient, PolyB, PolyT, poly_eval
-from hvkit.scalars import ONE, ZERO, Scalar
+from hvkit.scalars import IMAG, ONE, ZERO, Scalar, parse_scalar
 
 HALF = Scalar(Fraction(1, 2))
 
@@ -218,6 +219,26 @@ def test_evaluation_rejects_mismatched_inner():
     other = QuotientCoefficients((q_at(1, 2),))
     M = TruncatedVerma(HighestWeightFunctional.zero(), other, max_level=2)
     with pytest.raises(DimensionMismatchError):
+        EvaluationModule(q, M)
+
+
+def _no_listing(*_args):
+    raise AssertionError("the keys were listed")
+
+
+def test_evaluation_keys_are_budgeted_like_a_level(monkeypatch):
+    """The wrapper lists its quotient's keys once; past MAX_LEVEL_MONOMIALS it refuses first."""
+    q = JetQuotient((Scalar(2), ZERO), 3)  # 6 jets in two variables
+    M = TruncatedVerma(HighestWeightFunctional.zero(), QuotientCoefficients((q,)), max_level=2)
+    monkeypatch.setattr(modules, "MAX_LEVEL_MONOMIALS", 6)
+    E = EvaluationModule(q, M)
+    # b1*b2 = 2*b2 + (b1 - 2)*b2 at the point (2, 0)
+    assert E.translate(gen_elt(E.algebra(), d(1), (1, 1))) == AlgebraElement(
+        M.algebra(), {(d(1), (0, (0, 1))): Scalar(2), (d(1), (0, (1, 1))): ONE}
+    )
+    monkeypatch.setattr(modules, "MAX_LEVEL_MONOMIALS", 5)
+    monkeypatch.setattr(QuotientCoefficients, "basis_keys", _no_listing)
+    with pytest.raises(ConfigurationError, match="^the jet quotient has 6 keys, more than 5 to list$"):
         EvaluationModule(q, M)
 
 
@@ -413,6 +434,18 @@ def test_vector_rendering():
     text = w.render(qc)
     assert "hw" in text and "d(-1)" in text
     assert PBWVector().render() == "0"
+
+
+def test_a_gaussian_coefficient_renders_as_one_factor():
+    """Every text form parenthesizes a coefficient with both parts nonzero."""
+    c = parse_scalar("1/3+1/2*i")
+    V = IntermediateSeries(c, 0, 1)
+    assert V.act(gen_elt(HV, d(1)), V.basis_vector(0)).render() == "(1/3+1/2*i)*v[1]"
+    assert PBWVector({(("I", -1, ()),): c}).render() == "(1/3+1/2*i)*I(-1)·hw"
+    assert PolyT({1: c}).render() == "(1/3+1/2*i)*t"
+    assert PolyB(1, {(1,): c}).render() == "(1/3+1/2*i)*b1"
+    assert gen_elt(HV, d(1), coefficient=c).render() == "(1/3+1/2*i)*d(1)"
+    assert WeightVector({0: Scalar(Fraction(-1, 2)), 1: IMAG * -2}).render() == "-1/2*v[0] + -2*i*v[1]"
 
 
 def test_verma_alternative_order_same_action_values():
