@@ -462,7 +462,9 @@ def _accumulate(parts) -> dict:
 
 
 MAX_SWEEP_TRIPLES = 50_000_000  # the most ordered triples one Jacobi sweep may check
-MAX_SWEEP_EXPONENTS = 1_000_000  # the most exponent entries (monomials times k) one Jacobi sweep may store
+# the most exponent entries (monomials times k) one Jacobi sweep may store, and
+# that the Ω probe ((k + 1) keys of degree <= 1) or the rank-one invariants (k keys) may list
+MAX_SWEEP_EXPONENTS = 1_000_000
 MAX_SWEEP_VIOLATIONS = 20  # the most violations of each kind a sweep report keeps
 
 

@@ -10,10 +10,10 @@ Operators come from one generator list (``algebra.generators_upto``) and one
 constructor (``_decorated``); windows come from one budgeted listing of
 basis keys (``Module.window_keys``), and a vector is built from a key only
 where it is acted on.  Work is counted before it starts and refused past a
-budget (``MAX_AXIOM_TRIPLES``, ``MAX_BUILDER_READS``, and the module layer's
-``MAX_WINDOW_VECTORS`` and ``MAX_LEVEL_MONOMIALS``).  A reducibility witness
-is conclusive; a "window-irreducible" verdict is a bounded-scope
-certificate, never a proof.
+budget (``MAX_AXIOM_TRIPLES``, ``MAX_BUILDER_READS``, the bracket layer's
+``MAX_SWEEP_EXPONENTS``, and the module layer's ``MAX_WINDOW_VECTORS`` and
+``MAX_LEVEL_MONOMIALS``).  A reducibility witness is conclusive; a
+"window-irreducible" verdict is a bounded-scope certificate, never a proof.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import random
 from typing import NamedTuple
 
 from .algebra import (
+    MAX_SWEEP_EXPONENTS,
     AlgebraElement,
     C,
     C_D,
@@ -351,6 +352,13 @@ def _refuse_actions(nops: int, keys: list, probe: str) -> None:
         raise ConfigurationError(f"{probe} acts more than {MAX_AXIOM_TRIPLES} times")
 
 
+def _refuse_exponents(entries: int, listing: str) -> None:
+    """Refuse, before it is built, a listing of exponent tuples that holds
+    more than ``MAX_SWEEP_EXPONENTS`` entries in all."""
+    if entries > MAX_SWEEP_EXPONENTS:
+        raise ConfigurationError(f"{listing}: {entries} exponent entries to list, more than {MAX_SWEEP_EXPONENTS}")
+
+
 class WindowReport(Report):
     def __init__(self, window: int, operator_bound: int, verdict: str, witness: dict | None = None):
         self.window = window
@@ -406,8 +414,17 @@ def _omega_probe(module: Module, degrees: list, operator_bound: int) -> dict | N
     return {"kind": "t-multiples"} if closed else None
 
 
-# each probe by the vector type it reads: (module, window keys, operator bound) -> witness or None
-_PROBES = {WeightVector: _line_probe, PolyT: _omega_probe}
+def _omega_probe_keys(coeffs) -> int:
+    """The k + 1 keys of degree <= 1 that the Ω probe decorates each generator
+    by, counted; their (k + 1) * k exponent entries are refused first."""
+    k = coeffs.k
+    _refuse_exponents((k + 1) * k, f"a probe over k {k}")
+    return k + 1
+
+
+# each probe by the vector type it reads: (module, window keys, operator bound) -> witness or None,
+# and the number of coefficient keys it decorates each generator by (from the module's algebra)
+_PROBES = {WeightVector: (_line_probe, lambda coeffs: 1), PolyT: (_omega_probe, _omega_probe_keys)}
 
 
 def probe_irreducible(module: Module, window: int = 4, operator_bound: int = 3) -> WindowReport:
@@ -420,16 +437,19 @@ def probe_irreducible(module: Module, window: int = 4, operator_bound: int = 3) 
     tests closure of the degree-shifted subspace t*C[t].  An evaluation
     wrapper reads its inner module's vectors, so it is probed as that module.
     Witnesses are conclusive; the irreducible verdict is only as strong as
-    the window.  Generators times window vectors past ``MAX_AXIOM_TRIPLES`` are
-    refused with ``ConfigurationError`` before any operator is built.
+    the window.  Decorated generators times window vectors past
+    ``MAX_AXIOM_TRIPLES`` are refused with ``ConfigurationError`` before any
+    operator is built, and so, before any key is listed, are the Ω probe's
+    keys past ``MAX_SWEEP_EXPONENTS`` exponent entries.
     """
     if window < 1 or operator_bound < 1:
         raise ConfigurationError("window and operator bound must be >= 1")
     keys = module.window_keys(window)
-    probe = _PROBES.get(module.vector_type)
-    if probe is None:
+    if module.vector_type not in _PROBES:
         raise UnsupportedModuleError(f"no reducibility probe for the {module.family} family")
-    _refuse_actions(generator_count(operator_bound), keys, f"a probe over operator {operator_bound}, window {window}")
+    probe, decorations = _PROBES[module.vector_type]
+    nops = generator_count(operator_bound) * decorations(module.algebra())
+    _refuse_actions(nops, keys, f"a probe over operator {operator_bound}, window {window}")
     witness = probe(module, keys, operator_bound)
     verdict = "window-irreducible" if witness is None else "reducible-with-witness"
     return WindowReport(window, operator_bound, verdict, witness)
@@ -716,12 +736,15 @@ def omega_invariants(module: Module):
     (a degree-one polynomial: leading coefficient and root), each mu_i from
     d_1 (x) b_i, and beta from I_0.  Works through the uniform action
     interface, so it is an isomorphism invariant of the cyclic generator.
+    The k exponent tuples of the b_i, k * k entries, are refused past
+    ``MAX_SWEEP_EXPONENTS`` with ``ConfigurationError`` before any is built.
     """
     coeffs = module.algebra()
     if not isinstance(coeffs, PolynomialCoefficients):
         raise UnsupportedModuleError("rank-one invariants need the polynomial map algebra")
     if module.vector_type is not PolyT:
         raise UnsupportedModuleError("rank-one invariants need a module on C[t] (the omega family)")
+    _refuse_exponents(coeffs.k * coeffs.k, f"rank-one invariants over k {coeffs.k}")
     one = PolyT.one()
     g1 = module.act(unit_element(coeffs, d(1)), one)
     if g1.degree != 1:

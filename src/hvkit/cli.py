@@ -228,6 +228,16 @@ def _render(payload: dict, out_format: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _object(pairs) -> dict:
+    """A JSON object as a dict; a repeated key is refused (ValueError), not read as its last value."""
+    out: dict = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"repeated key {key!r}")
+        out[key] = value
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="hvkit",
@@ -244,8 +254,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
-    except (OSError, ValueError, RecursionError) as exc:  # bad JSON or UTF-8, huge integers, deep nesting
+            config = json.load(fh, object_pairs_hook=_object)
+    except (OSError, ValueError, RecursionError) as exc:  # bad JSON or UTF-8, a repeated key, huge integers, deep nesting
         message = " ".join(str(exc).split())
         print(f"config error: cannot read {args.config}: {message}", file=sys.stderr)
         return 2

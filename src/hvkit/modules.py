@@ -1,7 +1,7 @@
 """The five module families behind one action interface.
 
-A family defines only its column: ``_column(kind, index, key, basis_key)``,
-the (basis key, coefficient) pairs of one decorated generator
+A family defines its column: ``_column(kind, index, key, basis_key)``, the
+(basis key, coefficient) pairs of one decorated generator
 ``kind_index (x) key`` acting on one basis vector.  :meth:`Module.apply` is the
 package's one linear extension: it sums the column over the terms the family
 reads x as (``_terms``: the terms of x, except for the evaluation wrapper and
@@ -11,10 +11,10 @@ element, calls it and builds the vector.  The families and their columns:
 * ``IntermediateSeries`` -- weight lines v_{alpha+k} indexed by integer
   offsets; d_i shifts a line by i with coefficient alpha + k + beta*i, I_i
   shifts with the fixed scalar f, and the central elements act as zero.
-* ``OmegaModule`` -- C[t] with the translation action
-  d_n (x) b^r : f |-> mu^r lambda^{n-|r|} f(t-n)(t - n*alpha), the rank-one
-  family free over the subalgebra generated by d_0 (d_0 acts as
-  multiplication by t).  lambda must be nonzero.  Vectors are ``PolyT``.
+* ``OmegaModule`` -- C[t], free of rank one over the subalgebra generated by
+  d_0 (which acts as multiplication by t): it states x . 1 (``_one_image``)
+  and acts by the rule x_n . f = f(t-n) (x_n . 1).  lambda must be nonzero.
+  Vectors are ``PolyT``.
 * ``EvaluationModule`` -- wraps a module over a single jet quotient (or over
   the core algebra when the order is 1) into a module over the polynomial
   map algebra: x (x) p acts through the jet expansion of p, each jet read
@@ -44,11 +44,11 @@ refuses one past ``MAX_WINDOW_VECTORS`` before listing anything, and then
 returns the family's ``_window_keys``.
 
 A handle is :class:`~hvkit.scalars.Frozen`, but it is not stateless: it fills
-unbounded memo caches as it acts (``OmegaModule._term_cache``,
-``TruncatedVerma._cache``, ``_level_cache`` and ``_lift_cache``,
-``EvaluationModule._jet_cache``).  Entries are only ever added, each a
-deterministic function of its key, so results do not depend on call order;
-the memory is held until the handle is dropped.  Cached dicts and lists are
+unbounded memo caches as it acts (``OmegaModule._term_cache``, x . 1 per
+decorated generator, ``TruncatedVerma._cache``, ``_level_cache`` and
+``_lift_cache``, ``EvaluationModule._jet_cache``).  Entries are only ever
+added, each a deterministic function of its key, so results do not depend on
+call order; the memory is held until the handle is dropped.  Cached dicts and lists are
 handed to callers as they are and must not be mutated, and nothing locks the
 caches.  Descriptors round-trip through :meth:`Module.describe` /
 :func:`module_from_descriptor` as JSON-shaped dicts; a family's descriptor is
@@ -316,14 +316,15 @@ class IntermediateSeries(Module):
 
 
 class OmegaModule(Module):
-    """C[t] with the action
+    """C[t] with the action x_n . f = f(t-n) (x_n . 1), where
 
-        d_n (x) b^r . f = mu^r lambda^{n-|r|} f(t-n) (t - n*alpha)
-        I_n (x) b^r . f = mu^r lambda^{n-|r|} beta f(t-n)
+        d_n (x) b^r . 1 = mu^r lambda^{n-|r|} (t - n*alpha)
+        I_n (x) b^r . 1 = mu^r lambda^{n-|r|} beta
         C = C_D = C_I = 0  (and their decorated versions).
 
-    Free of rank one over the polynomial algebra in d_0: acting by d_0 is
-    multiplication by t.  Negative powers of lambda occur, so lambda != 0.
+    Free of rank one over the polynomial algebra in d_0, which acts as
+    multiplication by t; the family states only x . 1 (``_one_image``).
+    Negative powers of lambda occur, so lambda != 0.
     """
 
     family = "omega"
@@ -362,38 +363,29 @@ class OmegaModule(Module):
 
     act = Module.act  # own class-dict entry: bench/spans.py wraps it per family
 
-    def _column(self, kind, n, exps, j):
-        """Coordinates of one decorated generator on t^j, cached per handle:
-        the nonzero ones, ascending in degree.  With s = ``_scale(n, exps)``,
-        d_n reads s (t - n)^j (t - n*alpha) and I_n reads s*beta (t - n)^j,
-        expanded by the binomial theorem: (t - n)^j is the sum of
-        c_k t^k, c_k = C(j, k) (-n)^(j - k), so the d column at t^k is
-        s (c_{k-1} - n*alpha c_k), summed as one integer triple over
-        alpha's denominator and scaled by s once."""
+    def _one_image(self, kind, n, exps) -> tuple:
+        """x . 1 for x = kind_n (x) b^exps, as its coefficients in t, ascending:
+        s (t - n*alpha) for d_n and s*beta for I_n, s = ``_scale(n, exps)``."""
         if kind not in ("d", "I"):
             return ()
-        key = (kind, n, exps, j)
-        hit = self._term_cache.get(key)
-        if hit is None:
-            s = self._scale(n, exps)
-            binom = [comb(j, i) * (-n) ** (j - i) for i in range(j + 1)]
-            hit = []
-            if kind == "d":
-                sa, sb, sd = s.triple
-                a, b, d = self.alpha.triple
-                prev = 0  # c_{deg-1}
-                for deg, c in enumerate(binom + [0]):
-                    x, y = prev * d - c * n * a, -c * n * b  # (x + y*i)/d is c_{deg-1} - n*alpha c_deg
-                    re, im = x * sa - y * sb, x * sb + y * sa
-                    if re or im:
-                        hit.append((deg, Scalar.from_triple(re, im, d * sd)))
-                    prev = c
-            else:
-                sbeta = s * self.beta
-                if sbeta:
-                    hit = [(deg, sbeta * c) for deg, c in enumerate(binom) if c]
-            self._term_cache[key] = hit
-        return hit
+        s = self._scale(n, exps)
+        return (s * self.alpha * -n, s) if kind == "d" else (s * self.beta,)
+
+    def _column(self, kind, n, exps, j):
+        """Coordinates of one decorated generator x on t^j by the free rank-one
+        rule x . t^j = (t - n)^j (x . 1): the nonzero ones, ascending in
+        degree.  x . 1 is cached per generator; (t - n)^j is the sum of
+        c_k t^k, c_k = C(j, k) (-n)^(j - k), by the binomial theorem."""
+        one = self._term_cache.get((kind, n, exps))
+        if one is None:
+            one = self._term_cache[(kind, n, exps)] = self._one_image(kind, n, exps)
+        binom = [comb(j, k) * (-n) ** (j - k) for k in range(j + 1)]
+        out = [ZERO] * (j + len(one))
+        for i, p in enumerate(one):
+            for k, c in enumerate(binom):
+                if p and c:
+                    out[i + k] += p * c
+        return [(deg, c) for deg, c in enumerate(out) if c]
 
     def _window_keys(self, window: int) -> list:
         return list(range(window + 1))
@@ -935,6 +927,11 @@ def _verma(data, path):
     )
     coeffs = _named(f"{path}.quotients", QuotientCoefficients, quotients) if quotients else PolynomialCoefficients(0)
     terms = list_field(data.get("phi", []), f"{path}.phi", lambda entry, at: _phi_term(entry, at, coeffs))
+    first: dict = {}  # (slot, key) -> the index of its first entry
+    for i, (slot_key, _value) in enumerate(terms):
+        j = first.setdefault(slot_key, i)
+        if j != i:
+            raise ConfigurationError(f"{path}.phi[{i}]: repeats phi[{j}] (gen {slot_key[0]} at the same point and exp)")
     max_level = int_field(data.get("max_level", 6), f"{path}.max_level")
     return TruncatedVerma(HighestWeightFunctional(dict(terms)), coeffs, max_level=max_level)
 

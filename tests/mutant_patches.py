@@ -1,0 +1,70 @@
+"""Seeded source mutants that the tests must catch, each a patch of one file.
+
+``tools/mutation_check.py`` applies each entry to a copy of ``src/`` and
+``tests/`` and runs the entry's selection with ``pytest -x -q``: the entry
+holds when the selection fails.  The patch text must occur exactly once in
+its file, so a refactor that moves the code breaks the entry loudly instead
+of leaving the mutant unchecked.  Mutants that are whole classes or
+structure functions live in ``mutants.py``; these are the ones only an edit
+of the source can make.
+"""
+
+from typing import NamedTuple
+
+
+class Patch(NamedTuple):
+    name: str
+    path: str  # the patched file, relative to src/
+    text: str  # occurs exactly once in the file
+    replacement: str
+    selection: tuple  # pytest arguments, relative to the repository root
+
+
+PATCHES = (
+    # Ω states x.1 and acts by x.t^j = (t - n)^j (x.1)
+    Patch(
+        "omega-sign-of-n-alpha",
+        "hvkit/modules.py",
+        "(s * self.alpha * -n, s)",
+        "(s * self.alpha * n, s)",
+        ("tests/test_column_oracle.py::test_the_omega_column_on_fixed_parameters",),
+    ),
+    Patch(
+        "omega-shift-t-minus-n-minus-1",
+        "hvkit/modules.py",
+        "binom = [comb(j, k) * (-n) ** (j - k) for k in range(j + 1)]",
+        "binom = [comb(j, k) * (-n - 1) ** (j - k) for k in range(j + 1)]",
+        ("tests/test_column_oracle.py::test_the_omega_column_on_fixed_parameters",),
+    ),
+    Patch(
+        "omega-scale-dropped",
+        "hvkit/modules.py",
+        "s = self._scale(n, exps)",
+        "s = ONE",
+        ("tests/test_column_oracle.py::test_the_omega_column_on_fixed_parameters",),
+    ),
+    # the PBW rule: a lowering factor may lead a monomial whose first factor it does not follow
+    Patch(
+        "pbw-leads-strict",
+        "hvkit/modules.py",
+        "return not mono or self.order.key(fac) <= self.order.key(mono[0])",
+        "return not mono or self.order.key(fac) < self.order.key(mono[0])",
+        ("tests/test_verma_basis_oracle.py",),
+    ),
+    # the level builder reads every raising factor of index <= m
+    Patch(
+        "builder-skips-degree-2-factors",
+        "hvkit/analysis.py",
+        "            if index > m:\n",
+        "            if index > m or index == 2:\n",
+        ("tests/test_level_builder_oracle.py",),
+    ),
+    # the mod-P certificate: a row whose denominator P divides has no image mod P
+    Patch(
+        "certificate-accepts-denominator-P",
+        "hvkit/linalg.py",
+        "if len(pivots) + left < ncols or not den % P:",
+        "if len(pivots) + left < ncols:",
+        ("tests/test_linalg_oracle.py::test_rank_deficient_rows_take_the_exact_path",),
+    ),
+)

@@ -169,8 +169,12 @@ def test_axiom_sweep_refuses_too_many_pairs_before_building(monkeypatch, module,
         ("an annihilator probe over index 1, window 1", 54,
          lambda: annihilator_probe(EvaluationModule(q_at(2, 1), IntermediateSeries(HALF, 0, 1)),
                                    [PolyB(1, {(1,): ONE}), PolyB(1, {(0,): ONE})], window=1, index_bound=1)),
+        # 9 generators within operator 1, each decorated by the 3 keys of degree <= 1 in
+        # two variables, on the 3 degrees of window 2
+        ("a probe over operator 1, window 2", 81,
+         lambda: probe_irreducible(OmegaModule(2, 3, (ONE, ONE), 0), window=2, operator_bound=1)),
     ],
-    ids=["probe", "annihilator"],
+    ids=["probe", "annihilator", "omega-probe"],
 )
 def test_probes_count_their_actions_before_building_an_operator(monkeypatch, name, actions, run):
     monkeypatch.setattr(analysis, "MAX_AXIOM_TRIPLES", actions)
@@ -179,6 +183,31 @@ def test_probes_count_their_actions_before_building_an_operator(monkeypatch, nam
     monkeypatch.setattr(analysis, "_decorated", _no_operators)
     with pytest.raises(ConfigurationError, match=f"^{name} acts more than {actions - 1} times$"):
         run()
+
+
+def _no_listing(*_args):
+    raise AssertionError("exponent tuples were listed")
+
+
+@pytest.mark.parametrize(
+    "name,entries,run",
+    [
+        # the 4 keys of degree <= 1 in three variables, 3 entries each
+        ("a probe over k 3", 12, lambda module: probe_irreducible(module, window=1, operator_bound=1)),
+        # the 3 tuples of b_1, b_2, b_3
+        ("rank-one invariants over k 3", 9, omega_invariants),
+    ],
+    ids=["probe", "invariants"],
+)
+def test_omega_keys_are_budgeted_before_they_are_listed(monkeypatch, name, entries, run):
+    module = OmegaModule(2, 3, (ONE, Scalar(2), Scalar(5)), 1)
+    monkeypatch.setattr(analysis, "MAX_SWEEP_EXPONENTS", entries)
+    run(module)
+    monkeypatch.setattr(analysis, "MAX_SWEEP_EXPONENTS", entries - 1)
+    monkeypatch.setattr(PolynomialCoefficients, "keys_upto", _no_listing)
+    monkeypatch.setattr(analysis, "_decorated", _no_operators)
+    with pytest.raises(ConfigurationError, match=f"^{name}: {entries} exponent entries to list, more than {entries - 1}$"):
+        run(module)
 
 
 def test_axiom_sweep_refuses_too_many_triples_before_checking(monkeypatch):

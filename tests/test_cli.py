@@ -497,9 +497,17 @@ def test_hc_suite_walks_each_line_once(tmp_path, capsys):
             {"command": "annihilator", "module": INTERMEDIATE, "generators": [ONE_F], "bounds": {"index": 10**9}},
             "config error: an annihilator probe over index 1000000000, window 2 acts more than 5000000 times",
         ),
+        (
+            {"command": "probe-irreducible", "module": dict(OMEGA, mu=["1"] * 20_000)},
+            "config error: a probe over k 20000: 400020000 exponent entries to list, more than 1000000",
+        ),
+        (
+            {"command": "invariants", "module": dict(OMEGA, mu=["1"] * 20_000)},
+            "config error: rank-one invariants over k 20000: 400000000 exponent entries to list, more than 1000000",
+        ),
     ],
     ids=["hc-suite-level-25", "jacobi-sweep-40-2-2", "check-axioms-index-3000", "jacobi-sweep-k-1e9",
-         "probe-operator-1e9", "annihilator-index-1e9"],
+         "probe-operator-1e9", "annihilator-index-1e9", "probe-mu-20000", "invariants-mu-20000"],
 )
 def test_work_past_the_budget_exits_2(tmp_path, capsys, config, diagnostic):
     start = time.perf_counter()
@@ -564,6 +572,45 @@ def test_a_huge_window_exits_2_before_it_is_listed(tmp_path, capsys, config):
     assert captured.err.startswith("config error: window 100000000 has ")
     assert "vectors, more than 100000 to list" in captured.err
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text,key",
+    [
+        ('{"command": "weights", "command": "invariants", "module": ' + json.dumps(OMEGA) + "}", "command"),
+        ('{"command": "weights", "module": {"family": "intermediate", "alpha": "1/2", "alpha": "3", "beta": "0",'
+         ' "F": "1"}}', "alpha"),
+    ],
+    ids=["command", "module-alpha"],
+)
+def test_a_repeated_json_key_exits_2(tmp_path, capsys, text, key):
+    """A repeated key is refused, not read as its last value."""
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert main(["--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: cannot read {path}: repeated key {key!r}\n"
+
+
+@pytest.mark.parametrize(
+    "module,diagnostic",
+    [
+        ({"family": "verma", "phi": [{"gen": "d0", "value": "1"}, {"gen": "d0", "value": "2"}]},
+         "module.phi[1]: repeats phi[0] (gen d0 at the same point and exp)"),
+        # d0 at a second key (phi[2]) is no repeat
+        ({"family": "tensor", "left": VERMA,
+          "right": dict(VERMA, phi=[*VERMA["phi"], {"gen": "d0", "exp": [1], "value": "1"}, VERMA["phi"][1]])},
+         "module.right.phi[3]: repeats phi[1] (gen I0 at the same point and exp)"),
+    ],
+    ids=["trivial", "tensor-quotient"],
+)
+def test_a_repeated_phi_entry_exits_2(tmp_path, capsys, module, diagnostic):
+    """Two phi entries on one slot and key are refused, not read as the last one."""
+    assert _run_main(tmp_path, {"command": "weights", "module": module}) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {diagnostic}\n"
 
 
 def test_an_omega_window_is_budgeted_by_its_coefficients(tmp_path, capsys):

@@ -19,6 +19,7 @@ from hvkit.algebra import (
     C_I,
 )
 from hvkit import modules
+from hvkit.analysis import axiom_sweep
 from hvkit.errors import ConfigurationError, DimensionMismatchError, LevelOverflowError
 from hvkit.modules import (
     MAX_LEVEL_MONOMIALS,
@@ -132,6 +133,23 @@ def test_omega_negative_lambda_powers():
     got = Om.act(gen_elt(Om.algebra(), I(-1), (2,)), PolyT.one())
     # lambda^(-1-2) = (3/2)^3
     assert got == PolyT((Scalar(Fraction(27, 8)),))
+
+
+def test_omega_scales_each_generator_once_per_handle(monkeypatch):
+    """x . 1 is built once per decorated generator and read for every degree."""
+    scale, column = OmegaModule._scale, OmegaModule._column
+    scaled, read = [], set()
+    monkeypatch.setattr(OmegaModule, "_scale", lambda self, n, exps: scaled.append((n, exps)) or scale(self, n, exps))
+
+    def reading(self, kind, n, exps, j):
+        if kind in ("d", "I"):
+            read.add((kind, n, exps))
+        return column(self, kind, n, exps, j)
+
+    monkeypatch.setattr(OmegaModule, "_column", reading)
+    report = axiom_sweep(OmegaModule(Scalar(Fraction(2, 3)), HALF, (Scalar(3),), Scalar(5)), 2, 1, window=3)
+    assert report.clean
+    assert len(scaled) == len(read) > 0
 
 
 def test_omega_rejects_zero_lambda():
