@@ -101,6 +101,11 @@ def hv_structure(k1: str, n1: int, k2: str, n2: int) -> tuple:
     return ()
 
 
+def lifted_structure(k1: str, n1: int, k2: str, n2: int, structure: StructureFn = hv_structure) -> tuple:
+    """``structure(k1, n1, k2, n2)``, each constant lifted to a Scalar and 1 to ``ONE`` (no product)."""
+    return tuple((k3, n3, ONE if c == 1 else scalar(c)) for k3, n3, c in structure(k1, n1, k2, n2))
+
+
 # ---------------------------------------------------------------------------
 # coefficient algebras
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from .algebra import (
     generator_count,
     generators_upto,
     I,
+    lifted_structure,
 )
 from .errors import (
     ConfigurationError,
@@ -163,6 +164,18 @@ def _fold(acc: dict, a1: int, b1: int, d1: int, row: dict):
                 acc[key] = (pa * d + a * pd, pb * d + b * pd, pd * d)
 
 
+def _negated_bracket(table: dict, coeffs, t1, t2) -> list:
+    """``bracket``'s terms on one-term elements t = (generator, key) of coefficient 1, as
+    ((generator, key), -a, -b, d) for (a + b*i)/d; ``table`` keeps each generator pair's lift."""
+    (g1, k1), (g2, k2) = t1, t2
+    run = table.get((g1, g2))
+    if run is None:
+        run = table[(g1, g2)] = [(Generator(kind, idx), -a, -b, d) for kind, idx, c in lifted_structure(*g1, *g2)
+                                 for a, b, d in (c.triple,)]
+    key3 = coeffs.multiply(k1, k2) if run else None
+    return [] if key3 is None else [((g3, key3), a, b, d) for g3, a, b, d in run]
+
+
 class AxiomSweepReport(Report):
     def __init__(self, index_bound: int, monomial_bound: int, window: int):
         self.index_bound = index_bound
@@ -211,31 +224,32 @@ def axiom_sweep(
     key or on a key an image reaches, and read by every triple that needs
     it.  No row builds an algebra element or a vector, and none is checked
     against the algebra: the operators are built over ``module.algebra()``.
-    So x.(y.v) is the sum over the terms c.b of y.v of c times x's row on
-    b, [x, y].v is the sum over the terms c.t of ``bracket(x, y)`` of c
-    times t's row on v, and each triple sums x.(y.v) - y.(x.v) - [x, y].v
-    in one accumulator of unnormalized integer triples (a, b, d), read as
-    (a + b*i)/d: a violation when any entry has a or b nonzero.  That is
-    exact without a gcd, because only whether each sum is zero is asked.
-    Rows and accumulators are keyed by small integer ids that the sweep
-    gives the basis keys it meets, the window's keys first (window key v
-    has id v) and then each key a row reaches, as the row is built;
+    So x.(y.v) is the sum over the terms c.b of y.v of c times x's row on b,
+    and [x, y].v the sum over the terms c.t of [x, y] of c times t's row on
+    v.  [g1 (x) k1, g2 (x) k2] = [g1, g2] (x) k1k2 is read from a per-sweep
+    table (``_negated_bracket``): the default ``hv_structure``, never the
+    module's, lifted once per generator pair and decorated by the one key
+    product, so the sweep calls no ``bracket``.  Each triple sums
+    x.(y.v) - y.(x.v) - [x, y].v in one accumulator of unnormalized integer
+    triples (a, b, d), read as (a + b*i)/d: a violation when any entry has a
+    or b nonzero, exact without a gcd, because only whether each sum is zero
+    is asked.  Rows and accumulators are keyed by small integer ids that the
+    sweep gives the basis keys it meets, the window's keys first (window key
+    v has id v) and then each key a row reaches, as the row is built;
     ``apply`` sees the key itself, and so do the report's entries.  Hashing
-    an int costs a fraction of hashing a PBW monomial or a tensor key pair,
-    and a triple hashes a key up to three times per row entry it folds.
-    No module acts by a bracket.  Reading the bracket term by term is
-    exact, overflows included, because the bracket of two one-term
-    elements holds at most one term per generator (``multiply`` returns
-    one product key or ``None``), so an evaluation wrapper's merged jet
-    images never cancel across its terms.  A Verma truncation overflow inside a triple,
-    in any row it reads, is recorded as inconclusive for that triple, never
-    as a violation.  Each operator is rendered once, for the report's
-    entries.  More than ``MAX_AXIOM_TRIPLES`` operator pairs (counted before
-    anything is built), a window past its budget (refused by
-    ``window_keys`` before it is listed), or pairs times window vectors past
-    ``MAX_AXIOM_TRIPLES`` (before any operator is built) is refused with
-    ``ConfigurationError``, in that order.  The report counts every violation
-    and keeps the least ``MAX_VIOLATION_SAMPLES`` of them.
+    an int costs a fraction of hashing a PBW monomial or a tensor key pair.
+    No module acts by a bracket.  Reading the bracket term by term is exact,
+    overflows included, because it holds at most one term per generator
+    (``multiply`` returns one product key or ``None``), so an evaluation
+    wrapper's merged jet images never cancel across its terms.  A Verma
+    truncation overflow inside a triple, in any row it reads, is recorded as
+    inconclusive for that triple, never as a violation.  Each operator is
+    rendered once, for the report's entries.  More than ``MAX_AXIOM_TRIPLES``
+    operator pairs (counted before anything is built), a window past its
+    budget (refused by ``window_keys`` before it is listed), or pairs times
+    window vectors past ``MAX_AXIOM_TRIPLES`` (before any operator is built)
+    is refused with ``ConfigurationError``, in that order.  The report counts
+    every violation and keeps the least ``MAX_VIOLATION_SAMPLES`` of them.
     """
     coeffs = module.algebra()
     sweep = f"an axiom sweep over index {index_bound}, monomial {monomial_bound}"
@@ -273,12 +287,10 @@ def axiom_sweep(
         return table
 
     op_rows = [rows_of(t) for t in terms]
+    pair_table: dict = {}  # (g1, g2): the lifted hv_structure(g1, g2), negated
     for i, j in pairs:
         ri, rj = op_rows[i], op_rows[j]
-        xy = []  # -[x, y], term by term: (rows of t, -c as a triple)
-        for t, c in bracket(ops[i], ops[j]).terms.items():
-            a, b, d = c.triple
-            xy.append((rows_of(t), -a, -b, d))
+        xy = [(rows_of(t), a, b, d) for t, a, b, d in _negated_bracket(pair_table, coeffs, terms[i], terms[j])]
         for v in window_ids:
             # x.(y.v) - y.(x.v) - [x, y].v in one accumulator, x = ops[i],
             # y = ops[j] and v the basis vector of window key v; three loops,

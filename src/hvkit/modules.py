@@ -70,6 +70,7 @@ from .algebra import (
     QuotientCoefficients,
     StructureFn,
     hv_structure,
+    lifted_structure,
 )
 from .errors import (
     ConfigurationError,
@@ -451,11 +452,11 @@ class EvaluationModule(Module):
         return self._coeffs
 
     def _jets(self, exps):
-        """(inner key, coefficient) pairs of b^exps, through its jets; cached."""
+        """(inner key, coefficient) pairs of b^exps, through its jets, 1 as ``ONE``; cached."""
         jets = self._jet_cache.get(exps)
         if jets is None:
             expanded = jet_expand(PolyB.monomial(exps), self.quotient)
-            jets = self._jet_cache[exps] = [(self._keys[r], jc) for r, jc in expanded.items()]
+            jets = self._jet_cache[exps] = [(self._keys[r], ONE if jc == 1 else jc) for r, jc in expanded.items()]
         return jets
 
     def _merged(self, pairs) -> dict:
@@ -465,8 +466,9 @@ class EvaluationModule(Module):
         for (g, exps), c in pairs:
             for key, jc in self._jets(exps):
                 tk = (g, key)
+                cj = jc if c is ONE else (c if jc is ONE else c * jc)
                 prev = acc.get(tk)
-                acc[tk] = c * jc if prev is None else prev + c * jc
+                acc[tk] = cj if prev is None else prev + cj
         return {tk: c for tk, c in acc.items() if c}
 
     def translate(self, x: AlgebraElement) -> AlgebraElement:
@@ -648,15 +650,11 @@ class TruncatedVerma(Module):
         return not mono or self.order.key(fac) <= self.order.key(mono[0])
 
     def _lift(self, kind: str, idx: int, u_kind: str, u_idx: int) -> tuple:
-        """``structure(kind, idx, u_kind, u_idx)`` with each constant lifted to
-        a Scalar (1 to ``ONE``, which straightening multiplies by without a
-        product), once per handle and generator pair."""
+        """``lifted_structure`` of the handle's structure, once per handle and generator pair."""
         pair = (kind, idx, u_kind, u_idx)
         lifted = self._lift_cache.get(pair)
         if lifted is None:
-            lifted = self._lift_cache[pair] = tuple(
-                (k3, n3, ONE if sc == 1 else scalar(sc)) for k3, n3, sc in self.structure(*pair)
-            )
+            lifted = self._lift_cache[pair] = lifted_structure(*pair, self.structure)
         return lifted
 
     def _act_term(self, kind: str, idx: int, key, mono) -> dict:

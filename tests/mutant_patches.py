@@ -59,6 +59,44 @@ PATCHES = (
         "            if index > m or index == 2:\n",
         ("tests/test_level_builder_oracle.py",),
     ),
+    # the axiom sweep's bracket table: [g1 (x) k1, g2 (x) k2] = [g1, g2] (x) k1k2, negated
+    Patch(
+        "bracket-table-decorated-by-k1",
+        "hvkit/analysis.py",
+        "key3 = coeffs.multiply(k1, k2) if run else None",
+        "key3 = k1 if run else None",
+        ("tests/test_bracket_table_oracle.py",),
+    ),
+    Patch(
+        "bracket-table-not-negated",
+        "hvkit/analysis.py",
+        "(Generator(kind, idx), -a, -b, d)",
+        "(Generator(kind, idx), a, b, d)",
+        ("tests/test_bracket_table_oracle.py",),
+    ),
+    # the evaluation wrapper's jets: only a coefficient equal to 1 is ONE, and every jet counts
+    Patch(
+        "jets-every-real-coefficient-one",
+        "hvkit/modules.py",
+        "ONE if jc == 1 else jc",
+        "ONE if not jc.im else jc",
+        ("tests/test_modules.py::test_unit_jet_coefficients_are_the_one_object",),
+    ),
+    Patch(
+        "translate-ignores-higher-jets",
+        "hvkit/modules.py",
+        "for r, jc in expanded.items()]",
+        "for r, jc in expanded.items() if not any(r)]",
+        ("tests/test_modules.py::test_order_two_evaluation_uses_jets",),
+    ),
+    # a Gaussian pivot row is scaled by the pivot's conjugate over its norm
+    Patch(
+        "gaussian-pivot-times-pivot",
+        "hvkit/linalg.py",
+        "(a * pr + b * pi, b * pr - a * pi)",
+        "(a * pr - b * pi, b * pr + a * pi)",
+        ("tests/test_linalg_oracle.py::test_sparse_rref_examples[gaussian-multiple]",),
+    ),
     # the mod-P certificate: a row whose denominator P divides has no image mod P
     Patch(
         "certificate-accepts-denominator-P",

@@ -351,6 +351,21 @@ def test_order_two_evaluation_matches_reference(data):
     assert_matches_reference(module, x, v)
 
 
+@settings(max_examples=100)
+@given(st.data())
+def test_unit_coefficients_on_evaluation_match_reference(data):
+    """Elements and vectors whose coefficients are the ``ONE`` object, as the
+    axiom sweep's operators and basis vectors are, take the product-free
+    paths of ``_merged`` and ``apply`` on wrappers of order 1 and 2."""
+    module = data.draw(st.sampled_from(EVAL_ORDER1 + EVAL_ORDER2))
+    terms = data.draw(st.lists(st.tuples(generators, st.sampled_from(P1.keys_upto(2))),
+                               min_size=1, max_size=4, unique=True))
+    x = AlgebraElement(P1, dict.fromkeys(terms, ONE))
+    v = module.basis_vector(data.draw(basis_keys(module)))
+    assert module.translate(x) == _ref_translate(module, x)
+    assert_matches_reference(module, x, v)
+
+
 @pytest.mark.parametrize("module", [VERMA_TRIVIAL, VERMA_JET], ids=["trivial-B", "jet-b2"])
 @settings(max_examples=100)
 @given(data=st.data())

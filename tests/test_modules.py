@@ -230,6 +230,21 @@ def test_order_two_evaluation_uses_jets():
     assert got == Scalar(5) * hw
 
 
+def test_unit_jet_coefficients_are_the_one_object():
+    """A jet coefficient equal to 1 is stored as ``ONE``, which ``_merged`` and
+    ``apply`` multiply by without a product; any other keeps its value."""
+    key0, key1 = (0, (0,)), (0, (1,))
+    for point in (0, 1):
+        q = q_at(point, 2)
+        inner = TruncatedVerma(HighestWeightFunctional.zero(), QuotientCoefficients((q,)), max_level=2)
+        E = EvaluationModule(q, inner)
+        assert dict(E._jets((0,)))[key0] is ONE  # b^0
+        assert dict(E._jets((1,)))[key1] is ONE  # b = point + eps
+    square = dict(E._jets((2,)))  # b^2 = 1 + 2 eps at point 1
+    assert square[key0] is ONE
+    assert square[key1] == 2 and square[key1] is not ONE
+
+
 def test_evaluation_rejects_mismatched_inner():
     q = q_at(0, 2)
     with pytest.raises(ConfigurationError):
