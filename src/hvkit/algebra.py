@@ -23,11 +23,12 @@ freedom is taken.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Callable, NamedTuple
 
 from .errors import ConfigurationError, DimensionMismatchError, ParseError
 from .polys import PolyB, exponent_count, exponents_upto, jet_expand
-from .scalars import ONE, ZERO, Combination, Frozen, parse_scalar, render_coefficient, scalar
+from .scalars import ONE, ZERO, Combination, Frozen, Scalar, parse_scalar, render_coefficient, scalar
 
 _CENTRAL_KINDS = ("C", "CD", "CI")
 _KINDS = ("d", "I") + _CENTRAL_KINDS
@@ -102,8 +103,9 @@ def hv_structure(k1: str, n1: int, k2: str, n2: int) -> tuple:
 
 
 def lifted_structure(k1: str, n1: int, k2: str, n2: int, structure: StructureFn = hv_structure) -> tuple:
-    """``structure(k1, n1, k2, n2)``, each constant lifted to a Scalar and 1 to ``ONE`` (no product)."""
-    return tuple((k3, n3, ONE if c == 1 else scalar(c)) for k3, n3, c in structure(k1, n1, k2, n2))
+    """``structure(k1, n1, k2, n2)``, each constant lifted to a Scalar (an int by its triple) and 1 to ``ONE``."""
+    return tuple((k3, n3, ONE if c == 1 else Scalar.from_triple(c, 0, 1) if type(c) is int else scalar(c))
+                 for k3, n3, c in structure(k1, n1, k2, n2))
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +133,7 @@ class PolynomialCoefficients(Frozen):
         object.__setattr__(self, "k", int(k))
 
     def multiply(self, r, s):
-        return tuple(a + b for a, b in zip(r, s))
+        return tuple(map(add, r, s))
 
     def unit_keys(self):
         return ((0,) * self.k,)

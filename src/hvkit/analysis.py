@@ -102,12 +102,12 @@ MAX_VIOLATION_SAMPLES = 50  # the most violations an axiom-sweep report keeps (i
 
 
 class _Overflowed:
-    """The row of a term whose image overflows a Verma truncation: reading it
-    raises, so every triple that reads it is inconclusive."""
+    """The row of a term whose image overflows a Verma truncation: iterating
+    it raises, so every triple that reads it is inconclusive."""
 
     __slots__ = ()
 
-    def items(self):
+    def __iter__(self):
         raise LevelOverflowError("a row of this triple saturates the truncation")
 
 
@@ -120,8 +120,8 @@ class _TermRows(dict):
     ids: ``keys[id]`` is the key, and ``intern`` gives each key it has not
     met the next id.  t's own terms (``module._terms``) are read once, when
     the table is made; a row is ``module.apply`` of them on ``keys[b]``,
-    built on its first read and kept as {id: (a, b, d)} standing for
-    (a + b*i)/d, or ``_OVERFLOWED``."""
+    built on its first read and kept as a tuple of (id, a, b, d) standing
+    for (a + b*i)/d, or ``_OVERFLOWED``, which raises when iterated."""
 
     __slots__ = ("module", "own", "keys", "intern")
 
@@ -135,19 +135,19 @@ class _TermRows(dict):
         intern = self.intern
         try:
             image = self.module.apply(self.own, ((self.keys[b], ONE),))
-            row = {intern(key): c.triple for key, c in image.items()}
+            row = tuple((intern(key), *c.triple) for key, c in image.items())
         except LevelOverflowError:
             row = _OVERFLOWED
         self[b] = row
         return row
 
 
-def _fold(acc: dict, a1: int, b1: int, d1: int, row: dict):
-    """Add (a1 + b1*i)/d1 times ``row`` into ``acc``, all as unnormalized
-    integer triples (a, b, d) with d > 0.  Nothing is reduced by a gcd, and
-    denominators are cross-multiplied only where they differ: the sweep only
-    asks whether each sum is zero, which is whether its a and b are."""
-    for key, (a2, b2, d2) in row.items():
+def _fold(acc: dict, a1: int, b1: int, d1: int, row):
+    """Add (a1 + b1*i)/d1 times ``row`` (a ``_TermRows`` row) into ``acc``, all
+    as unnormalized integer triples (a, b, d) with d > 0.  Nothing is reduced
+    by a gcd, and denominators are cross-multiplied only where they differ: the
+    sweep only asks whether each sum is zero, which is whether its a and b are."""
+    for key, a2, b2, d2 in row:
         if b1 or b2:
             a, b = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
         else:
@@ -233,23 +233,24 @@ def axiom_sweep(
     x.(y.v) - y.(x.v) - [x, y].v in one accumulator of unnormalized integer
     triples (a, b, d), read as (a + b*i)/d: a violation when any entry has a
     or b nonzero, exact without a gcd, because only whether each sum is zero
-    is asked.  Rows and accumulators are keyed by small integer ids that the
-    sweep gives the basis keys it meets, the window's keys first (window key
-    v has id v) and then each key a row reaches, as the row is built;
-    ``apply`` sees the key itself, and so do the report's entries.  Hashing
-    an int costs a fraction of hashing a PBW monomial or a tensor key pair.
-    No module acts by a bracket.  Reading the bracket term by term is exact,
-    overflows included, because it holds at most one term per generator
-    (``multiply`` returns one product key or ``None``), so an evaluation
-    wrapper's merged jet images never cancel across its terms.  A Verma
-    truncation overflow inside a triple, in any row it reads, is recorded as
-    inconclusive for that triple, never as a violation.  Each operator is
-    rendered once, for the report's entries.  More than ``MAX_AXIOM_TRIPLES``
-    operator pairs (counted before anything is built), a window past its
-    budget (refused by ``window_keys`` before it is listed), or pairs times
-    window vectors past ``MAX_AXIOM_TRIPLES`` (before any operator is built)
-    is refused with ``ConfigurationError``, in that order.  The report counts
-    every violation and keeps the least ``MAX_VIOLATION_SAMPLES`` of them.
+    is asked.  A row is a flat tuple of (id, a, b, d), iterated as it is;
+    ids are small integers that the sweep gives the basis keys it meets, the
+    window's keys first (window key v has id v) and then each key a row
+    reaches, as the row is built; ``apply`` and the report's entries see the
+    keys themselves.  Hashing an int costs a fraction of hashing a PBW
+    monomial or a tensor key pair.  Reading the bracket term by term is
+    exact, overflows included, because it holds at most one term per
+    generator (``multiply`` returns one product key or ``None``), so an
+    evaluation wrapper's merged jet images never cancel across its terms.  A
+    Verma truncation overflow inside a triple, in any row it reads (the row
+    raises when iterated), is recorded as inconclusive for that triple, never
+    as a violation.  Each operator is rendered once, for the report's
+    entries.  More than ``MAX_AXIOM_TRIPLES`` operator pairs (counted before
+    anything is built), a window past its budget (refused by ``window_keys``
+    before it is listed), or pairs times window vectors past
+    ``MAX_AXIOM_TRIPLES`` (before any operator is built) is refused with
+    ``ConfigurationError``, in that order.  The report counts every
+    violation and keeps the least ``MAX_VIOLATION_SAMPLES`` of them.
     """
     coeffs = module.algebra()
     sweep = f"an axiom sweep over index {index_bound}, monomial {monomial_bound}"
@@ -298,9 +299,9 @@ def axiom_sweep(
             # about a tenth of an axiom-sweep pass
             acc: dict = {}
             try:
-                for b1, (a, b, d) in rj[v].items():
+                for b1, a, b, d in rj[v]:
                     _fold(acc, a, b, d, ri[b1])
-                for b1, (a, b, d) in ri[v].items():
+                for b1, a, b, d in ri[v]:
                     _fold(acc, -a, -b, d, rj[b1])
                 for rt, a, b, d in xy:
                     _fold(acc, a, b, d, rt[v])

@@ -160,7 +160,8 @@ class Module(Frozen):
         raise NotImplementedError
 
     def _column(self, kind: str, index: int, key, basis_key):
-        """(basis key, coefficient) pairs of kind_index (x) key on one basis vector."""
+        """(basis key, coefficient) pairs of kind_index (x) key on one basis vector:
+        distinct keys, nonzero coefficients, maybe a view of a handle's cache."""
         raise NotImplementedError
 
     def act(self, x: AlgebraElement, v):
@@ -170,12 +171,16 @@ class Module(Frozen):
         return self.vector_type(self.apply(self._terms(x.terms.items()), v.terms.items()))
 
     def apply(self, own_terms, coords) -> dict:
-        """The one linear extension: {basis key: nonzero coefficient} of the
-        column summed over ``own_terms`` (((generator, key), coefficient) pairs,
-        as ``_terms`` gives) and ``coords`` ((basis key, coefficient) pairs).
-        Unchecked: the axiom sweep calls it on one term's own terms and one
-        basis key, so no row builds an element or a vector."""
+        """The one linear extension, unchecked: {basis key: nonzero coefficient}
+        of the column summed over ``own_terms`` (((generator, key), coefficient)
+        pairs, as ``_terms`` gives) and ``coords`` ((basis key, coefficient)
+        pairs); one own term of coefficient ``ONE`` on one coordinate ``ONE`` is
+        its column, copied.  The axiom sweep builds its rows with it, not act."""
         column = self._column
+        if len(own_terms) == 1 and len(coords) == 1:
+            ((((kind, index), key), c),), ((b, cv),) = own_terms, coords
+            if c is ONE and cv is ONE:
+                return dict(column(kind, index, key, b))
         out: dict = {}
         for ((kind, index), key), c in own_terms:
             for b, cv in coords:
@@ -674,7 +679,7 @@ class TruncatedVerma(Module):
             out = {} if c.is_zero else {(): c}
         else:
             (u_kind, u_idx, u_key), rest = mono[0], mono[1:]
-            out = {}
+            out, cancelled = {}, False
             # [x, u] . rest
             struct = self._lift(kind, idx, u_kind, u_idx)
             key3 = self.coeffs.multiply(key, u_key) if struct else None
@@ -683,14 +688,20 @@ class TruncatedVerma(Module):
                     for m2, c2 in self._act_term(k3, n3, key3, rest).items():
                         c = c2 if c3 is ONE else (c3 if c2 is ONE else c3 * c2)
                         prev = out.get(m2)
-                        out[m2] = c if prev is None else prev + c
+                        if prev is not None:
+                            c = prev + c
+                            cancelled = cancelled or not c
+                        out[m2] = c
             # u . (x . rest)
             for m2, c2 in self._act_term(kind, idx, key, rest).items():
                 for m3, c3 in self._act_term(u_kind, u_idx, u_key, m2).items():
                     c = c3 if c2 is ONE else (c2 if c3 is ONE else c2 * c3)
                     prev = out.get(m3)
-                    out[m3] = c if prev is None else prev + c
-            out = {m: c for m, c in out.items() if not c.is_zero}
+                    if prev is not None:
+                        c = prev + c
+                        cancelled = cancelled or not c
+                    out[m3] = c
+            out = {m: c for m, c in out.items() if c} if cancelled else out  # only a sum can cancel
         self._cache[cache_key] = out
         return out
 

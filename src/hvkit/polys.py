@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from math import comb
+from operator import add
 
 from .errors import ConfigurationError, DimensionMismatchError
 from .scalars import ONE, ZERO, Combination, Frozen, Scalar, render_coefficient, render_scalar, scalar
@@ -278,7 +279,7 @@ class JetQuotient(Frozen):
 
     def multiply_exps(self, r: MonomialExp, s: MonomialExp) -> MonomialExp | None:
         """Product of two basis monomials, or None if it truncates to zero."""
-        out = tuple(a + b for a, b in zip(r, s))
+        out = tuple(map(add, r, s))
         return out if sum(out) < self.order else None
 
     def __eq__(self, other):

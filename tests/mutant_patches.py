@@ -89,6 +89,29 @@ PATCHES = (
         "for r, jc in expanded.items() if not any(r)]",
         ("tests/test_modules.py::test_order_two_evaluation_uses_jets",),
     ),
+    # apply's unit path: only one own term of coefficient ONE on one coordinate ONE is its column
+    Patch(
+        "apply-unit-path-ignores-own-coefficient",
+        "hvkit/modules.py",
+        "if c is ONE and cv is ONE:",
+        "if cv is ONE:",
+        ("tests/test_apply_unit_path.py",),
+    ),
+    # the axiom sweep's term rows: (id, a, b, d) tuples, and an overflowed row raises when iterated
+    Patch(
+        "term-row-drops-imaginary-part",
+        "hvkit/analysis.py",
+        "row = tuple((intern(key), *c.triple) for key, c in image.items())",
+        "row = tuple((intern(key), c.triple[0], 0, c.triple[2]) for key, c in image.items())",
+        ("tests/test_axiom_table_oracle.py",),
+    ),
+    Patch(
+        "overflowed-row-iterates-empty",
+        "hvkit/analysis.py",
+        'raise LevelOverflowError("a row of this triple saturates the truncation")',
+        "return iter(())",
+        ("tests/test_axiom_table_oracle.py",),
+    ),
     # a Gaussian pivot row is scaled by the pivot's conjugate over its norm
     Patch(
         "gaussian-pivot-times-pivot",
@@ -96,6 +119,21 @@ PATCHES = (
         "(a * pr + b * pi, b * pr - a * pi)",
         "(a * pr - b * pi, b * pr + a * pi)",
         ("tests/test_linalg_oracle.py::test_sparse_rref_examples[gaussian-multiple]",),
+    ),
+    # scalars: the triple is canonical, d > 0, and an int factor scales both parts
+    Patch(
+        "scalar-denominator-sign-kept",
+        "hvkit/scalars.py",
+        "            a, b, d = -a, -b, -d\n",
+        "            pass\n",
+        ("tests/test_scalars.py", "tests/test_scalars_oracle.py"),
+    ),
+    Patch(
+        "scalar-int-multiply-keeps-imaginary-part",
+        "hvkit/scalars.py",
+        "return _make(self._a * other, self._b * other, self._d)",
+        "return _make(self._a * other, self._b, self._d)",
+        ("tests/test_scalars.py", "tests/test_scalars_oracle.py"),
     ),
     # the mod-P certificate: a row whose denominator P divides has no image mod P
     Patch(

@@ -69,7 +69,7 @@ indices = st.integers(min_value=-4, max_value=4)
 
 
 @st.composite
-def omega_cases(draw):
+def omega_cases(draw, kinds=kinds):
     k = draw(st.integers(min_value=0, max_value=2))
     module_args = (draw(lambdas), draw(parameters), tuple(draw(parameters) for _ in range(k)), draw(parameters))
     exps = draw(st.sampled_from(exponents_upto(k, 2)))
@@ -92,7 +92,9 @@ def test_the_omega_column_matches_the_polyt_oracle(case):
 
 
 @settings(max_examples=100, deadline=None)
-@given(omega_cases())
+# central kinds have empty columns, which the test skips: drawing them made
+# the filter-too-much health check fail now and then (hypothesis seed 21)
+@given(omega_cases(st.sampled_from(("d", "I"))))
 def test_the_off_by_one_mutant_disagrees_with_the_oracle(case):
     module_args, kind, n, exps, j = case
     want = list(omega_column_oracle(OmegaModule(*module_args), kind, n, exps, j))
