@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 
 from .errors import ConfigurationError, DimensionMismatchError, ParseError
 from .polys import PolyB, exponent_count, exponents_upto, jet_expand
-from .scalars import ONE, ZERO, Combination, Frozen, Scalar, parse_scalar, render_coefficient, scalar
+from .scalars import ONE, ZERO, Combination, Frozen, Scalar, parse_scalar, render_sum, scalar
 
 _CENTRAL_KINDS = ("C", "CD", "CI")
 _KINDS = ("d", "I") + _CENTRAL_KINDS
@@ -627,24 +627,16 @@ def _term_sort_key(item):
     return (g.degree, _GEN_ORDER[g.kind], g.index, key)
 
 
+def render_decorated(coeffs, g: Generator, key) -> str:
+    """The text of ``g⊗key``: the generator alone when the key prints empty."""
+    keytext = coeffs.render_key(key)
+    return g.render() + (f"⊗{keytext}" if keytext else "")
+
+
 def render_element(x: AlgebraElement) -> str:
-    """Text form like ``-4*d(0) + 1/2*C`` or ``I(2)(x)b[1,1]``."""
-    if x.is_zero:
-        return "0"
-    parts = []
-    for (g, key), c in sorted(x.terms.items(), key=_term_sort_key):
-        keytext = x.coeffs.render_key(key)
-        body = g.render() + (f"⊗{keytext}" if keytext else "")
-        if c == 1:
-            parts.append(body)
-        elif c == -1:
-            parts.append(f"-{body}")
-        else:
-            parts.append(f"{render_coefficient(c)}*{body}")
-    text = parts[0]
-    for p in parts[1:]:
-        text += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-    return text
+    """Text form like ``-4*d(0) + 1/2*C`` or ``I(2)⊗b[1,1]``."""
+    terms = sorted(x.terms.items(), key=_term_sort_key)
+    return render_sum(((render_decorated(x.coeffs, g, key), c) for (g, key), c in terms), signed=True)
 
 
 _GEN_NAMES = {"C": C, "C_D": C_D, "C_I": C_I}
@@ -689,7 +681,8 @@ def parse_element(text: str, coeffs: PolynomialCoefficients) -> AlgebraElement:
             chunk = chunk[1:].strip()
         coeff = ONE
         if "*" in chunk:
-            head, _, rest = chunk.partition("*")
+            # a body holds no *, so the coefficient is all before the last one: 2*i*d(1), (1+i)*C
+            head, _, rest = chunk.rpartition("*")
             probe = head.strip()
             if probe.startswith("(") and probe.endswith(")"):
                 probe = probe[1:-1]

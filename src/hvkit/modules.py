@@ -71,6 +71,7 @@ from .algebra import (
     StructureFn,
     hv_structure,
     lifted_structure,
+    render_decorated,
 )
 from .errors import (
     ConfigurationError,
@@ -80,7 +81,7 @@ from .errors import (
     ParseError,
 )
 from .polys import JetQuotient, PolyB, PolyT, jet_expand
-from .scalars import ONE, ZERO, Combination, Frozen, Scalar, parse_scalar, render_coefficient, render_scalar, scalar
+from .scalars import ONE, ZERO, Combination, Frozen, Scalar, parse_scalar, render_scalar, render_sum, scalar
 
 
 # ---------------------------------------------------------------------------
@@ -96,14 +97,7 @@ class WeightVector(Combination):
         return cls({int(k): scalar(coeff)})
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for k in sorted(self.terms):
-            c = self.terms[k]
-            body = f"v[{k}]"
-            parts.append(body if c == 1 else f"{render_coefficient(c)}*{body}")
-        return " + ".join(parts)
+        return render_sum(((f"v[{k}]", c) for k, c in sorted(self.terms.items())), signed=False)
 
 
 class PBWVector(Combination):
@@ -113,24 +107,12 @@ class PBWVector(Combination):
     def highest_weight(cls, coeff=ONE):
         return cls({(): scalar(coeff)})
 
-    def render(self, coeffs=None) -> str:
-        def factor_text(f):
-            kind, idx, key = f
-            body = Generator(kind, idx).render()
-            if coeffs is not None:
-                keytext = coeffs.render_key(key)
-                if keytext:
-                    body += f"⊗{keytext}"
-            return body
+    def render(self, coeffs) -> str:
+        """Text form like ``-2*I(-1)·hw + d(-1)⊗e[1]·hw``, factors decorated over ``coeffs``."""
+        def body(mono):
+            return "·".join([render_decorated(coeffs, Generator(kind, idx), key) for kind, idx, key in mono] + ["hw"])
 
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono in sorted(self.terms):
-            c = self.terms[mono]
-            body = "·".join([factor_text(f) for f in mono] + ["hw"])
-            parts.append(body if c == 1 else f"{render_coefficient(c)}*{body}")
-        return " + ".join(parts)
+        return render_sum(((body(mono), c) for mono, c in sorted(self.terms.items())), signed=False)
 
 
 class TensorVector(Combination):

@@ -24,7 +24,7 @@ from math import comb
 from operator import add
 
 from .errors import ConfigurationError, DimensionMismatchError
-from .scalars import ONE, ZERO, Combination, Frozen, Scalar, render_coefficient, render_scalar, scalar
+from .scalars import ONE, ZERO, Combination, Frozen, Scalar, render_scalar, render_sum, scalar
 
 MonomialExp = tuple[int, ...]
 PointB = tuple[Scalar, ...]
@@ -132,25 +132,8 @@ class PolyT(Combination):
         return PolyT(out)
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for j in sorted(self.terms, reverse=True):
-            c = self.terms[j]
-            mono = "1" if j == 0 else ("t" if j == 1 else f"t^{j}")
-            if j == 0:
-                body = render_scalar(c)
-            elif c == 1:
-                body = mono
-            elif c == -1:
-                body = f"-{mono}"
-            else:
-                body = f"{render_coefficient(c)}*{mono}"
-            parts.append(body)
-        text = parts[0]
-        for p in parts[1:]:
-            text += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return text
+        terms = sorted(self.terms.items(), reverse=True)
+        return render_sum((("" if j == 0 else "t" if j == 1 else f"t^{j}", c) for j, c in terms), signed=True)
 
     def __repr__(self):
         return f"PolyT({self.render()})"
@@ -218,31 +201,16 @@ class PolyB(Combination):
     __rmul__ = __mul__
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for exps in sorted(self.terms, key=lambda e: (sum(e), e)):
-            c = self.terms[exps]
-            mono = render_monomial(exps)
-            if mono == "1":
-                parts.append(render_scalar(c))
-            elif c == 1:
-                parts.append(mono)
-            else:
-                parts.append(f"{render_coefficient(c)}*{mono}")
-        return " + ".join(parts)
+        terms = sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]))
+        return render_sum(((render_monomial(exps), c) for exps, c in terms), signed=False)
 
     def __repr__(self):
         return f"PolyB({self.render()})"
 
 
 def render_monomial(exps: MonomialExp) -> str:
-    factors = [
-        f"b{i + 1}" if e == 1 else f"b{i + 1}^{e}"
-        for i, e in enumerate(exps)
-        if e
-    ]
-    return "*".join(factors) if factors else "1"
+    """``b1*b2^2`` for ``(1, 2)``; empty for the constant monomial."""
+    return "*".join(f"b{i + 1}" if e == 1 else f"b{i + 1}^{e}" for i, e in enumerate(exps) if e)
 
 
 # ---------------------------------------------------------------------------

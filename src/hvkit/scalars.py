@@ -286,12 +286,31 @@ def render_scalar(s: Scalar) -> str:
     return f"{_render_rational(re)}{sign}{imag}"
 
 
-def render_coefficient(s: Scalar) -> str:
-    """``render_scalar(s)`` as the factor in front of a ``*``: parenthesized
-    when it is a sum (both parts nonzero), so ``(1/2+i)*t`` reads back as one
-    coefficient."""
-    text = render_scalar(s)
-    return f"({text})" if s.re and s.im else text
+def render_sum(terms, signed: bool) -> str:
+    """The text of a sum of ``(body, coefficient)`` terms, in the order given;
+    ``0`` for none.  An empty body prints its scalar, a coefficient 1 is left
+    out, and one with both parts nonzero is parenthesized, as in ``(1/2+i)*t``.
+    ``signed`` folds signs (``d(1) - 2*d(2)``); unsigned text reads
+    ``-1*v[0] + -2*v[1]``."""
+    parts = []
+    for body, c in terms:
+        if not body:
+            parts.append(render_scalar(c))
+        elif c == 1:
+            parts.append(body)
+        elif signed and c == -1:
+            parts.append(f"-{body}")
+        else:
+            text = render_scalar(c)
+            parts.append(f"({text})*{body}" if c.re and c.im else f"{text}*{body}")
+    if not parts:
+        return "0"
+    if not signed:
+        return " + ".join(parts)
+    text = parts[0]
+    for p in parts[1:]:
+        text += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    return text
 
 
 _CHUNK = _re.compile(r"[+-][^+-]+")

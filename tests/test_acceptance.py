@@ -242,11 +242,11 @@ def test_criterion_6_raising_word_oracles():
             HighestWeightFunctional(values), PolynomialCoefficients(0), max_level=5
         )
         for level in range(5):
-            a = sorted(v.render() for v in singular_vectors(M, level, "generators"))
-            b = sorted(v.render() for v in singular_vectors(M, level, "full"))
+            a = sorted(v.render(M.coeffs) for v in singular_vectors(M, level, "generators"))
+            b = sorted(v.render(M.coeffs) for v in singular_vectors(M, level, "full"))
             if a != b:
                 mismatches.append((trial, level))
-            words = sorted(v.render() for v in _reference_singular_vectors(M, level))
+            words = sorted(v.render(M.coeffs) for v in _reference_singular_vectors(M, level))
             if a != words:
                 word_mismatches.append((trial, level))
     ok = not mismatches and not word_mismatches

@@ -42,6 +42,7 @@ from hvkit.modules import (
 from hvkit.polys import JetQuotient, PolyB, PolyT
 from hvkit.scalars import ONE, ZERO, Scalar
 from mutants import STRUCTURE_MUTANTS, OffByOneOmega
+from test_linalg_oracle import _functional
 
 HALF = Scalar(Fraction(1, 2))
 
@@ -433,17 +434,21 @@ def test_restricted_and_full_words_agree():
         for level in range(5):
             a = singular_vectors(M, level, "generators")
             b = singular_vectors(M, level, "full")
-            assert sorted(v.render() for v in a) == sorted(v.render() for v in b)
+            assert sorted(v.render(M.coeffs) for v in a) == sorted(v.render(M.coeffs) for v in b)
 
 
 def test_restricted_and_full_words_agree_with_jets():
+    """tools/singular_levels.py's degenerate functional over C[b]/(b^2), whose
+    slices at levels 0..3 have dimensions 0, 2, 9 and 30."""
     qc = QuotientCoefficients((q_at(0, 2),))
-    phi = HighestWeightFunctional({("d0", (0, (0,))): ONE, ("I0", (0, (1,))): Scalar(3)})
-    M = TruncatedVerma(phi, qc, max_level=4)
+    M = TruncatedVerma(_functional("degenerate", qc), qc, max_level=4)
+    dims = []
     for level in range(4):
         a = singular_vectors(M, level, "generators")
         b = singular_vectors(M, level, "full")
-        assert sorted(v.render() for v in a) == sorted(v.render() for v in b)
+        assert sorted(v.render(M.coeffs) for v in a) == sorted(v.render(M.coeffs) for v in b)
+        dims.append(len(a))
+    assert dims == [0, 2, 9, 30]
 
 
 def test_membership_agrees_with_kernel():

@@ -466,7 +466,7 @@ def test_vector_rendering():
     w = PBWVector({(("d", -1, (0, (1,))),): Scalar(-2), (): ONE})
     text = w.render(qc)
     assert "hw" in text and "d(-1)" in text
-    assert PBWVector().render() == "0"
+    assert PBWVector().render(HV) == "0"
 
 
 def test_a_gaussian_coefficient_renders_as_one_factor():
@@ -474,7 +474,7 @@ def test_a_gaussian_coefficient_renders_as_one_factor():
     c = parse_scalar("1/3+1/2*i")
     V = IntermediateSeries(c, 0, 1)
     assert V.act(gen_elt(HV, d(1)), V.basis_vector(0)).render() == "(1/3+1/2*i)*v[1]"
-    assert PBWVector({(("I", -1, ()),): c}).render() == "(1/3+1/2*i)*I(-1)·hw"
+    assert PBWVector({(("I", -1, ()),): c}).render(HV) == "(1/3+1/2*i)*I(-1)·hw"
     assert PolyT({1: c}).render() == "(1/3+1/2*i)*t"
     assert PolyB(1, {(1,): c}).render() == "(1/3+1/2*i)*b1"
     assert gen_elt(HV, d(1), coefficient=c).render() == "(1/3+1/2*i)*d(1)"
