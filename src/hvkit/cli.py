@@ -238,20 +238,23 @@ def _object(pairs) -> dict:
     return out
 
 
+# Built once at import: ``parse_args`` leaves the parser as it was, so ``main`` may run many times.
+_PARSER = argparse.ArgumentParser(
+    prog="hvkit",
+    description="Exact checks for the Heisenberg-Virasoro map algebra and its modules.",
+)
+_PARSER.add_argument("--config", required=True, help="path to a JSON run config")
+_PARSER.add_argument("--out", choices=("json", "tsv"), default="json")
+_PARSER.add_argument(
+    "--seed",
+    type=int,
+    default=None,
+    help="shuffle sweep sampling order (results are order-independent)",
+)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="hvkit",
-        description="Exact checks for the Heisenberg-Virasoro map algebra and its modules.",
-    )
-    parser.add_argument("--config", required=True, help="path to a JSON run config")
-    parser.add_argument("--out", choices=("json", "tsv"), default="json")
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="shuffle sweep sampling order (results are order-independent)",
-    )
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             config = json.load(fh, object_pairs_hook=_object)

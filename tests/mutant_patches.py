@@ -166,4 +166,19 @@ PATCHES = (
         "if len(pivots) + left < ncols:",
         ("tests/test_linalg_oracle.py::test_rank_deficient_rows_take_the_exact_path",),
     ),
+    # the parser built once at import: it refuses unknown options, and reports print as JSON by default
+    Patch(
+        "cli-parser-accepts-unknown-options",
+        "hvkit/cli.py",
+        "_PARSER.parse_args(argv)",
+        "_PARSER.parse_known_args(argv)[0]",
+        ("tests/test_cli_parser.py::test_repeated_main_calls_match_the_reference",),
+    ),
+    Patch(
+        "cli-parser-out-default-tsv",
+        "hvkit/cli.py",
+        'choices=("json", "tsv"), default="json")',
+        'choices=("json", "tsv"), default="tsv")',
+        ("tests/test_cli_parser.py::test_parsed_arguments_match_the_reference[config-only]",),
+    ),
 )
