@@ -343,7 +343,7 @@ def weight_table(module: Module, window: int = 4) -> dict:
         for op in ops:
             w = module.act(op, v)
             ev = w.coeff(key)
-            if w != ev * v:
+            if w.terms != ({key: ev} if ev else {}):
                 raise UnsupportedModuleError(
                     f"basis vector {key} is not a joint eigenvector; "
                     "weight tables need a weight module"

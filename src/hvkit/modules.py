@@ -6,7 +6,9 @@ A family defines its column: ``_column(kind, index, key, basis_key)``, the
 package's one linear extension: it sums the column over the terms the family
 reads x as (``_terms``: the terms of x, except for the evaluation wrapper and
 tensor products) and the coordinates of v.  :meth:`Module.act` checks the
-element, calls it and builds the vector.  The families and their columns:
+element's algebra against the module's (an element holding the module's own
+algebra object passes without a comparison), calls it and makes its dict the
+vector's terms without another pass.  The families and their columns:
 
 * ``IntermediateSeries`` -- weight lines v_{alpha+k} indexed by integer
   offsets; d_i shifts a line by i with coefficient alpha + k + beta*i, I_i
@@ -89,8 +91,16 @@ from .scalars import ONE, ZERO, Combination, Frozen, Scalar, parse_scalar, rende
 # ---------------------------------------------------------------------------
 
 
+_new = object.__new__
+# writes a vector's terms without Combination.__init__'s pass over them: act
+# hands it apply's dict, which holds distinct keys and nonzero Scalars only
+_set_terms = Combination.terms.__set__
+
+
 class WeightVector(Combination):
     """Combination of weight lines, keyed by the integer offset k of v_{alpha+k}."""
+
+    __slots__ = ()
 
     @classmethod
     def line(cls, k: int, coeff=ONE):
@@ -102,6 +112,8 @@ class WeightVector(Combination):
 
 class PBWVector(Combination):
     """Combination of PBW monomials applied to the highest-weight generator."""
+
+    __slots__ = ()
 
     @classmethod
     def highest_weight(cls, coeff=ONE):
@@ -117,6 +129,8 @@ class PBWVector(Combination):
 
 class TensorVector(Combination):
     """Combination of pure tensors, keyed by (left basis key, right basis key)."""
+
+    __slots__ = ()
 
     @classmethod
     def pure(cls, left_key, right_key, coeff=ONE):
@@ -147,10 +161,15 @@ class Module(Frozen):
         raise NotImplementedError
 
     def act(self, x: AlgebraElement, v):
-        """x . v: the element is checked against the module's algebra, read as
-        the family's own terms (``_terms``) and extended over by :meth:`apply`."""
-        self._check_element(x)
-        return self.vector_type(self.apply(self._terms(x.terms.items()), v.terms.items()))
+        """x . v: the element is checked against the module's algebra (skipped
+        when it holds that very algebra object), read as the family's own terms
+        (``_terms``) and extended over by :meth:`apply`, whose dict becomes the
+        vector's terms as it is."""
+        if x.coeffs is not self.algebra():
+            self._check_element(x)
+        out = _new(self.vector_type)
+        _set_terms(out, self.apply(self._terms(x.terms.items()), v.terms.items()))
+        return out
 
     def apply(self, own_terms, coords) -> dict:
         """The one linear extension, unchecked: {basis key: nonzero coefficient}

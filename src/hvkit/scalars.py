@@ -18,7 +18,14 @@ equality and every operation normalises its result with a single
 back as :class:`fractions.Fraction`.
 
 Scalars serialize as strings like ``"3"``, ``"-3/4"``, ``"1/2*i"`` or
-``"3/4+1/2*i"``; :func:`parse_scalar` accepts the same grammar.
+``"3/4+1/2*i"``; :func:`parse_scalar` accepts the same grammar, and each part
+may also be written in ``fractions.Fraction``'s grammar (``"0.5"``, ``"1e3"``,
+``"1_0/3"``, Unicode digits; an exponent takes no sign, since a sign starts a
+part).  A part whose numerator or denominator would have more digits than
+``sys.get_int_max_str_digits()`` allows, and so could not be printed, is
+refused.  Parsing, printing and hashing read the triple directly; only the
+forms that are not digits with an optional ``/digits`` go through
+``Fraction``.
 
 :class:`Combination` is the one sparse linear combination over these
 scalars: algebra elements, the vectors of every module family, the
@@ -30,6 +37,7 @@ from __future__ import annotations
 
 import numbers
 import re as _re
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -206,10 +214,12 @@ class Scalar(Frozen):
         return NotImplemented
 
     def __hash__(self):
-        # the hash of the equal Fraction (or int), so Scalars and rationals mix as keys
-        if not self._b:
-            return hash(self._a) if self._d == 1 else hash(Fraction(self._a, self._d))
-        return hash((self.re, self.im))
+        # the hash of the equal Fraction (or int), so Scalars and rationals mix as
+        # keys; a Gaussian value hashes as the pair (re, im) of Fractions does
+        a, b, d = self._a, self._b, self._d
+        if not b:
+            return hash(a) if d == 1 else _hash_rational(a, d)
+        return hash((_hash_rational(a, d), _hash_rational(b, d)))
 
     def __repr__(self):
         return f"Scalar({render_scalar(self)!r})"
@@ -221,6 +231,24 @@ class Scalar(Frozen):
 _new = object.__new__
 # slot writers that bypass Frozen.__setattr__, which refuses every assignment
 _set_a, _set_b, _set_d = Scalar._a.__set__, Scalar._b.__set__, Scalar._d.__set__
+
+
+_MODULUS, _INF = sys.hash_info.modulus, sys.hash_info.inf
+
+
+def _hash_rational(n, d):
+    """``hash(Fraction(n, d))`` for d > 0, computed as Fraction computes it
+    (|n| times the inverse of d mod the hash modulus, signed) without building
+    one; n/d need not be in lowest terms unless the modulus divides d."""
+    if d == 1:
+        return hash(n)
+    if not d % _MODULUS:
+        g = gcd(n, d)
+        n, d = n // g, d // g
+    h = _INF if not d % _MODULUS else hash(hash(abs(n)) * pow(d, -1, _MODULUS))
+    if n < 0:
+        h = -h
+    return -2 if h == -1 else h
 
 
 def _make(a, b, d):
@@ -264,26 +292,28 @@ ONE = Scalar(1)
 IMAG = Scalar(0, 1)
 
 
-def _render_rational(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+def _render_part(n: int, d: int) -> str:
+    """The text of n/d in lowest terms, for d > 0: one gcd."""
+    if d != 1:
+        g = gcd(n, d)
+        if g != 1:
+            n //= g
+            d //= g
+        if d != 1:
+            return f"{n}/{d}"
+    return str(n)
 
 
 def render_scalar(s: Scalar) -> str:
-    re, im = s.re, s.im
-    if not im:
-        return _render_rational(re)
-    if im == 1:
-        imag = "i"
-    elif im == -1:
-        imag = "-i"
-    else:
-        imag = f"{_render_rational(im)}*i"
-    if not re:
-        return imag
-    sign = "+" if im > 0 else "-"
-    mag = abs(im)
-    imag = "i" if mag == 1 else f"{_render_rational(mag)}*i"
-    return f"{_render_rational(re)}{sign}{imag}"
+    a, b, d = s._a, s._b, s._d
+    if not b:
+        # a canonical real triple has gcd(a, d) == 1 already
+        return str(a) if d == 1 else f"{a}/{d}"
+    mag = abs(b)
+    imag = "i" if mag == d else f"{_render_part(mag, d)}*i"
+    if not a:
+        return imag if b > 0 else f"-{imag}"
+    return f"{_render_part(a, d)}{'+' if b > 0 else '-'}{imag}"
 
 
 def render_sum(terms, signed: bool) -> str:
@@ -314,12 +344,59 @@ def render_sum(terms, signed: bool) -> str:
 
 
 _CHUNK = _re.compile(r"[+-][^+-]+")
+# the exponent of a part in Fraction's grammar, after a digit or the point (a
+# sign would have split the chunk)
+_EXPONENT = _re.compile(r"(?<=[\d.])[eE](\d+(?:_\d+)*)\s*\Z")
+# 0 where the interpreter sets no limit (Python 3.10 before 3.10.7)
+_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def _digit_error(limit: int) -> ParseError:
+    return ParseError(f"a scalar part has more than {limit} digits in its numerator or denominator")
+
+
+def _read_part(body: str) -> tuple:
+    """(numerator, denominator) of one unsigned part: digits with an optional
+    ``/digits`` read as ints, any other form through Fraction's grammar.  Raises
+    ValueError or ZeroDivisionError where Fraction does, and ParseError for a
+    numerator or denominator past the interpreter's digit limit."""
+    limit = _max_str_digits()
+    num, slash, den = body.partition("/")
+    if body.isascii() and num.isdigit() and (not slash or den.isdigit()):
+        if limit and (len(num) > limit or len(den) > limit):
+            raise _digit_error(limit)
+        d = int(den) if slash else 1
+        if not d:
+            raise ZeroDivisionError(body)
+        return int(num), d
+    if limit:
+        exponent = _EXPONENT.search(body)
+        # a nonzero mantissa of f decimals times 10**e is at least 10**(e - f):
+        # refuse such an exponent before 10**e is built
+        if exponent and not slash and int(exponent[1]) > limit + len(body):
+            if Fraction(body[: exponent.start()]):
+                raise _digit_error(limit)
+            return 0, 1
+    q = Fraction(body)
+    n, d = q.numerator, q.denominator
+    big = max(abs(n), d)
+    # below 2**(3 * limit) < 10**limit without building 10**limit
+    if limit and big.bit_length() > 3 * limit and big >= 10**limit:
+        raise _digit_error(limit)
+    return n, d
 
 
 def parse_scalar(text: str) -> Scalar:
     """Parse ``"a/b"`` / ``"a/b+c/d*i"`` style strings into a Scalar.
 
-    Tolerates spaces, a Unicode minus, and ``i`` with or without the ``*``.
+    At most one real and one imaginary part, each signed; the imaginary part
+    ends in ``i``, with or without the ``*``.  A part is digits with an
+    optional ``/digits``, or any other form of ``fractions.Fraction``'s
+    grammar (``"0.5"``, ``"1e3"``, ``"1_0/3"``, Unicode digits; a sign
+    starts a part, so ``"1e-3"`` is malformed).  Tolerates spaces and a
+    Unicode minus.  A part whose numerator or denominator has more digits
+    than ``sys.get_int_max_str_digits()`` is refused with a ParseError, and
+    an exponent is checked before it is applied.
     """
     if isinstance(text, Scalar):
         return text
@@ -335,24 +412,26 @@ def parse_scalar(text: str) -> Scalar:
     chunks = _CHUNK.findall(s)
     if "".join(chunks) != s:
         raise ParseError(f"malformed scalar {text!r}")
-    re_part = im_part = None
+    re_part = im_part = None  # (numerator, denominator) pairs
     for chunk in chunks:
         sign = -1 if chunk[0] == "-" else 1
         body = chunk[1:]
         try:
             if body.endswith("i"):
                 core = body[:-1].rstrip("*")
-                value = Fraction(1) if core == "" else Fraction(core)
+                n, d = (1, 1) if core == "" else _read_part(core)
                 if im_part is not None:
                     raise ParseError(f"two imaginary parts in {text!r}")
-                im_part = sign * value
+                im_part = (sign * n, d)
             else:
                 if re_part is not None:
                     raise ParseError(f"two real parts in {text!r}")
-                re_part = sign * Fraction(body)
+                n, d = _read_part(body)
+                re_part = (sign * n, d)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"malformed scalar {text!r}") from exc
-    return Scalar(re_part or 0, im_part or 0)
+    (p, q), (r, t) = re_part or (0, 1), im_part or (0, 1)
+    return _make(p * t, r * q, q * t)
 
 
 class Combination(Frozen):
